@@ -8,6 +8,7 @@
 //
 //   SLIM_SOAK_EVENTS  input events per profile (default 300)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -136,7 +137,7 @@ int main() {
     sim.Run();
     int heal_rounds = 0;
     bool converged =
-        session.framebuffer().ContentHash() == console.framebuffer().ContentHash();
+        std::ranges::equal(session.framebuffer().data(), console.framebuffer().data());
     // Forced: loss desyncs the console from the damage tracker's shadow, and a refined
     // repaint of a "clean" shadow would transmit nothing.
     while (!converged && heal_rounds < 30) {
@@ -145,7 +146,7 @@ int main() {
       session.Flush();
       sim.Run();
       converged =
-          session.framebuffer().ContentHash() == console.framebuffer().ContentHash();
+          std::ranges::equal(session.framebuffer().data(), console.framebuffer().data());
     }
     // Settle outstanding display commands, then close the audit ledger: anything still
     // open (e.g. lost past the transport's give-up horizon) is folded in as incomplete.

@@ -117,7 +117,7 @@ PassResult RunPass(int32_t width, int32_t height, int frames, bool refined) {
     for (const DisplayCommand& cmd : cmds) {
       SLIM_CHECK(ApplyCommand(cmd, &replica));
     }
-    SLIM_CHECK(replica.ContentHash() == screen.fb().ContentHash());
+    SLIM_CHECK(std::ranges::equal(replica.data(), screen.fb().data()));
   }
   return result;
 }

@@ -13,6 +13,7 @@
 //   SLIM_CHURN_CONSOLES  consoles they roam across       (default 6)
 //   SLIM_CHURN_OPS       card insert/remove operations   (default 120)
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -144,7 +145,7 @@ int main() {
         session = server.SessionForCard(cards[u]);
         done = session != nullptr && session->attached() &&
                session->console() == home.node() &&
-               session->framebuffer().ContentHash() == home.framebuffer().ContentHash();
+               std::ranges::equal(session->framebuffer().data(), home.framebuffer().data());
       }
       converged += done ? 1 : 0;
     }

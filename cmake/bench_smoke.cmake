@@ -1,13 +1,14 @@
-# bench_smoke: runs every benchmark harness at a tiny scale and validates that each one
-# produced a conforming BENCH_<name>.json. Invoked by ctest (see the bench_smoke test in the
-# top-level CMakeLists.txt) as:
+# bench_smoke: runs one benchmark harness at a tiny scale and validates that it produced a
+# conforming BENCH_<name>.json. Invoked by ctest once per harness (the bench_smoke_<name>
+# tests in the top-level CMakeLists.txt, label bench_smoke) as:
 #
-#   cmake -DBENCH_DIR=<build>/bench -DVALIDATOR=<path> -DOUT_DIR=<scratch> -P bench_smoke.cmake
+#   cmake -DHARNESS=<path> -DVALIDATOR=<path> -DOUT_DIR=<dir> -P bench_smoke.cmake
 #
-# Fails on: a harness exiting nonzero, a harness not writing its report, or any report
-# failing schema validation (schema drift between writer and validator).
+# Fails on: the harness exiting nonzero, not writing its report, the report failing schema
+# validation (schema drift between writer and validator), or its SLIM_TRACE output missing
+# or malformed.
 
-foreach(var BENCH_DIR VALIDATOR OUT_DIR)
+foreach(var HARNESS VALIDATOR OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "bench_smoke: ${var} not set")
   endif()
@@ -16,66 +17,59 @@ endforeach()
 file(REMOVE_RECURSE ${OUT_DIR})
 file(MAKE_DIRECTORY ${OUT_DIR})
 
-file(GLOB harnesses ${BENCH_DIR}/bench_*)
-list(LENGTH harnesses harness_count)
-if(harness_count EQUAL 0)
-  message(FATAL_ERROR "bench_smoke: no harnesses found in ${BENCH_DIR}")
-endif()
+get_filename_component(name ${HARNESS} NAME)
 
 # Every sim-session harness honors SLIM_TRACE; bench_micro_codec is wall-clock
 # (google-benchmark) and traces nothing, so it is the one expected gap.
-set(expected_traces 0)
-foreach(harness ${harnesses})
-  get_filename_component(name ${harness} NAME)
-  set(extra_args "")
-  if(name STREQUAL "bench_micro_codec")
-    # Wall-clock microbenchmarks: one repetition at minimal measuring time.
-    set(extra_args --benchmark_min_time=0.01)
-  else()
-    math(EXPR expected_traces "${expected_traces} + 1")
-  endif()
-  message(STATUS "bench_smoke: ${name}")
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env
-      SLIM_USERS=2 SLIM_MINUTES=1 SLIM_SECONDS=5 SLIM_SOAK_EVENTS=20
-      SLIM_DP_FRAMES=6 SLIM_DP_REPS=3
-      SLIM_CHURN_SESSIONS=2 SLIM_CHURN_CONSOLES=3 SLIM_CHURN_OPS=24
-      SLIM_MIG_REPS=2 SLIM_MIG_WIDTH=160 SLIM_MIG_HEIGHT=120
-      SLIM_BENCH_DIR=${OUT_DIR}
-      SLIM_TRACE=${OUT_DIR}/TRACE_${name}.json
-      ${harness} ${extra_args}
-    RESULT_VARIABLE rc
-    OUTPUT_QUIET)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "bench_smoke: ${name} exited with ${rc}")
-  endif()
-endforeach()
+set(extra_args "")
+set(expected_traces 1)
+if(name STREQUAL "bench_micro_codec")
+  # Wall-clock microbenchmarks: one repetition at minimal measuring time.
+  set(extra_args --benchmark_min_time=0.01)
+  set(expected_traces 0)
+endif()
+
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env
+    SLIM_USERS=2 SLIM_MINUTES=1 SLIM_SECONDS=5 SLIM_SOAK_EVENTS=20
+    SLIM_DP_FRAMES=6 SLIM_DP_REPS=3
+    SLIM_CHURN_SESSIONS=2 SLIM_CHURN_CONSOLES=3 SLIM_CHURN_OPS=24
+    SLIM_MIG_REPS=2 SLIM_MIG_WIDTH=160 SLIM_MIG_HEIGHT=120
+    SLIM_BENCH_DIR=${OUT_DIR}
+    SLIM_TRACE=${OUT_DIR}/TRACE_${name}.json
+    ${HARNESS} ${extra_args}
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "bench_smoke: ${name} exited with ${rc}")
+endif()
 
 file(GLOB reports ${OUT_DIR}/BENCH_*.json)
 list(LENGTH reports report_count)
-if(NOT report_count EQUAL harness_count)
+if(NOT report_count EQUAL 1)
   message(FATAL_ERROR
-    "bench_smoke: ${harness_count} harnesses ran but ${report_count} BENCH_*.json reports "
-    "were written to ${OUT_DIR} - some harness did not emit its report")
+    "bench_smoke: ${name} wrote ${report_count} BENCH_*.json reports to ${OUT_DIR}, "
+    "expected exactly 1")
 endif()
 
 execute_process(COMMAND ${VALIDATOR} ${reports} RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "bench_smoke: report validation failed (${rc})")
+  message(FATAL_ERROR "bench_smoke: ${name} report validation failed (${rc})")
 endif()
 
-# Every trace the harnesses wrote must load as Chrome trace JSON (parseable array,
-# balanced B/E spans) — SLIM_TRACE was set above, so a harness that ignores it or writes
-# a corrupt trace fails here.
+# The trace must load as Chrome trace JSON (parseable array, balanced B/E spans):
+# SLIM_TRACE was set above, so a harness that ignores it or writes a corrupt trace fails.
 file(GLOB traces ${OUT_DIR}/TRACE_*.json)
 list(LENGTH traces trace_count)
 if(NOT trace_count EQUAL expected_traces)
   message(FATAL_ERROR
-    "bench_smoke: expected ${expected_traces} TRACE_*.json files but found ${trace_count} "
-    "in ${OUT_DIR} - some harness dropped its SLIM_TRACE output")
+    "bench_smoke: expected ${expected_traces} TRACE_*.json files from ${name} but found "
+    "${trace_count} in ${OUT_DIR}")
 endif()
-execute_process(COMMAND ${VALIDATOR} --trace ${traces} RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "bench_smoke: trace validation failed (${rc})")
+if(trace_count GREATER 0)
+  execute_process(COMMAND ${VALIDATOR} --trace ${traces} RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "bench_smoke: ${name} trace validation failed (${rc})")
+  endif()
 endif()
-message(STATUS "bench_smoke: ${report_count} reports and ${trace_count} traces validated")
+message(STATUS "bench_smoke: ${name}: ${report_count} report and ${trace_count} trace validated")

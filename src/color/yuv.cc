@@ -1,7 +1,9 @@
 #include "src/color/yuv.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "src/codec/kernels/kernels.h"
 #include "src/codec/kernels/kernels_internal.h"
@@ -13,6 +15,46 @@ namespace {
 
 uint8_t ClampByte(int v) { return static_cast<uint8_t>(std::clamp(v, 0, 255)); }
 
+// ClampByte(lround(x)) without lround's branches: truncation plus a half-step test rounds
+// half away from zero exactly for |x| < 2^31, and a negative x clamps to 0 either way.
+uint8_t RoundToByte(double x) {
+  const int i = static_cast<int>(x);
+  return ClampByte(i + (x - i >= 0.5 ? 1 : 0));
+}
+
+// The console's YUV->RGB conversion is defined by the double formula in the constructor
+// (lround of y + k * chroma, per channel). R and B depend on two components each and are
+// tabulated whole; G keeps the formula's two products in tables and subtracts them in the
+// formula's order, so every lookup returns exactly the formula's result.
+struct YuvToRgbTables {
+  YuvToRgbTables() {
+    for (int c = 0; c < 256; ++c) {
+      gu[c] = 0.344136 * (c - 128.0);
+      gv[c] = 0.714136 * (c - 128.0);
+    }
+    for (int y = 0; y < 256; ++y) {
+      for (int c = 0; c < 256; ++c) {
+        r[y][c] = ClampByte(static_cast<int>(std::lround(y + 1.402 * (c - 128.0))));
+        b[y][c] = ClampByte(static_cast<int>(std::lround(y + 1.772 * (c - 128.0))));
+      }
+    }
+  }
+
+  Pixel Convert(uint8_t y, uint8_t u, uint8_t v) const {
+    return MakePixel(r[y][v], RoundToByte(y - gu[u] - gv[v]), b[y][u]);
+  }
+
+  uint8_t r[256][256];  // [y][v]
+  uint8_t b[256][256];  // [y][u]
+  double gu[256];
+  double gv[256];
+};
+
+const YuvToRgbTables& Tables() {
+  static const YuvToRgbTables tables;
+  return tables;
+}
+
 // Expands the top `bits` bits of a component back to 8 bits by bit replication.
 uint8_t ExpandBits(uint32_t value, int bits) {
   SLIM_DCHECK(bits >= 1 && bits <= 8);
@@ -23,6 +65,15 @@ uint8_t ExpandBits(uint32_t value, int bits) {
     filled *= 2;
   }
   return static_cast<uint8_t>(out & 0xff);
+}
+
+// ExpandBits(v, bits) for every v < 2^bits.
+std::array<uint8_t, 256> ExpandTable(int bits) {
+  std::array<uint8_t, 256> table{};
+  for (uint32_t v = 0; v < (1u << bits); ++v) {
+    table[v] = ExpandBits(v, bits);
+  }
+  return table;
 }
 
 struct DepthSpec {
@@ -48,64 +99,137 @@ DepthSpec SpecFor(CscsDepth depth) {
   SLIM_CHECK(false);
 }
 
-class BitWriter {
+// MSB-first bit packer into a buffer sized by CscsPayloadBytes; stores 32 bits at a time.
+class BitPacker {
  public:
-  explicit BitWriter(std::vector<uint8_t>* out) : out_(out) {}
+  explicit BitPacker(std::span<uint8_t> out) : out_(out) {}
 
-  void Write(uint32_t value, int bits) {
-    for (int i = bits - 1; i >= 0; --i) {
-      if (bit_pos_ == 0) {
-        out_->push_back(0);
-      }
-      const uint8_t bit = (value >> i) & 1;
-      out_->back() |= static_cast<uint8_t>(bit << (7 - bit_pos_));
-      bit_pos_ = (bit_pos_ + 1) & 7;
+  // Appends the low `bits` (1..8) bits of value.
+  void Put(uint32_t value, int bits) {
+    acc_ = (acc_ << bits) | value;
+    pending_ += bits;
+    if (pending_ >= 32) {
+      pending_ -= 32;
+      const auto word = static_cast<uint32_t>(acc_ >> pending_);
+      SLIM_DCHECK(pos_ + 4 <= out_.size());
+      out_[pos_] = static_cast<uint8_t>(word >> 24);
+      out_[pos_ + 1] = static_cast<uint8_t>(word >> 16);
+      out_[pos_ + 2] = static_cast<uint8_t>(word >> 8);
+      out_[pos_ + 3] = static_cast<uint8_t>(word);
+      pos_ += 4;
     }
   }
 
-  void AlignByte() { bit_pos_ = 0; }
+  // Writes out the pending bits, zero-padding the last byte.
+  void AlignByte() {
+    if (pending_ % 8 != 0) {
+      Put(0, 8 - pending_ % 8);
+    }
+    for (; pending_ > 0; pending_ -= 8) {
+      SLIM_DCHECK(pos_ < out_.size());
+      out_[pos_++] = static_cast<uint8_t>(acc_ >> (pending_ - 8));
+    }
+  }
+
+  size_t size() const { return pos_; }
 
  private:
-  std::vector<uint8_t>* out_;
-  int bit_pos_ = 0;
+  std::span<uint8_t> out_;
+  size_t pos_ = 0;
+  uint64_t acc_ = 0;
+  int pending_ = 0;  // bits in acc_ not yet stored
 };
 
-class BitReader {
+// MSB-first bit reader; bits past the end of the data read as zero.
+class BitUnpacker {
  public:
-  explicit BitReader(std::span<const uint8_t> data) : data_(data) {}
+  explicit BitUnpacker(std::span<const uint8_t> data) : data_(data) {}
 
-  uint32_t Read(int bits) {
-    uint32_t value = 0;
-    for (int i = 0; i < bits; ++i) {
-      uint8_t bit = 0;
-      if (byte_pos_ < data_.size()) {
-        bit = (data_[byte_pos_] >> (7 - bit_pos_)) & 1;
-      }
-      value = (value << 1) | bit;
-      if (++bit_pos_ == 8) {
-        bit_pos_ = 0;
-        ++byte_pos_;
+  // Reads `bits` (1..8) bits.
+  uint32_t Get(int bits) {
+    if (pending_ < bits) {
+      for (; pending_ <= 56; pending_ += 8, ++pos_) {
+        acc_ = (acc_ << 8) | (pos_ < data_.size() ? data_[pos_] : 0);
       }
     }
-    return value;
+    pending_ -= bits;
+    return static_cast<uint32_t>(acc_ >> pending_) & ((1u << bits) - 1);
   }
 
-  void AlignByte() {
-    if (bit_pos_ != 0) {
-      bit_pos_ = 0;
-      ++byte_pos_;
-    }
-  }
+  // Skips the rest of a partly read byte.
+  void AlignByte() { pending_ -= pending_ % 8; }
 
  private:
   std::span<const uint8_t> data_;
-  size_t byte_pos_ = 0;
-  int bit_pos_ = 0;
+  size_t pos_ = 0;
+  uint64_t acc_ = 0;
+  int pending_ = 0;  // bits loaded into acc_ and not yet read
 };
+
+// Averages each chroma block of a plane (only the pixels inside the image count) and packs
+// the quantized averages row-major.
+void PackChroma(std::span<const uint8_t> plane, int32_t w, int32_t h, const DepthSpec& spec,
+                BitPacker* out) {
+  for (int32_t y0 = 0; y0 < h; y0 += spec.c_sub_y) {
+    const int32_t rows = std::min(spec.c_sub_y, h - y0);
+    const uint8_t* block_row = plane.data() + static_cast<size_t>(y0) * w;
+    for (int32_t x0 = 0; x0 < w; x0 += spec.c_sub_x) {
+      const int32_t cols = std::min(spec.c_sub_x, w - x0);
+      int sum = 0;
+      for (int32_t dy = 0; dy < rows; ++dy) {
+        for (int32_t dx = 0; dx < cols; ++dx) {
+          sum += block_row[static_cast<size_t>(dy) * w + x0 + dx];
+        }
+      }
+      const int count = rows * cols;
+      const int avg = (sum + count / 2) / count;
+      out->Put(static_cast<uint32_t>(avg) >> (8 - spec.c_bits), spec.c_bits);
+    }
+  }
+  out->AlignByte();
+}
+
+// Unpacks a chroma plane: each sample fills its block's span of one row, and that row is
+// copied down the rest of the block.
+void UnpackChroma(BitUnpacker* in, int32_t w, int32_t h, const DepthSpec& spec,
+                  std::span<uint8_t> plane) {
+  const std::array<uint8_t, 256> expand = ExpandTable(spec.c_bits);
+  for (int32_t y0 = 0; y0 < h; y0 += spec.c_sub_y) {
+    uint8_t* row = plane.data() + static_cast<size_t>(y0) * w;
+    for (int32_t x0 = 0; x0 < w; x0 += spec.c_sub_x) {
+      const uint8_t value = expand[in->Get(spec.c_bits)];
+      std::fill_n(row + x0, std::min(spec.c_sub_x, w - x0), value);
+    }
+    for (int32_t dy = 1; dy < spec.c_sub_y && y0 + dy < h; ++dy) {
+      std::memcpy(row + static_cast<size_t>(dy) * w, row, static_cast<size_t>(w));
+    }
+  }
+  in->AlignByte();
+}
 
 size_t PlaneBits(int64_t samples, int bits) { return static_cast<size_t>(samples) * bits; }
 
 size_t BitsToBytes(size_t bits) { return (bits + 7) / 8; }
+
+// Source taps and weights of one destination row or column of the bilinear scaler.
+struct Tap {
+  int32_t i0;
+  int32_t i1;
+  double w0;  // 1 - f
+  double w1;  // f
+};
+
+std::vector<Tap> Taps(int32_t src, int32_t dst) {
+  std::vector<Tap> taps(static_cast<size_t>(dst));
+  const double ratio = static_cast<double>(src) / dst;
+  for (int32_t d = 0; d < dst; ++d) {
+    const double s = std::max(0.0, (d + 0.5) * ratio - 0.5);
+    const int32_t i0 = std::min(static_cast<int32_t>(s), src - 1);
+    const double f = s - i0;
+    taps[static_cast<size_t>(d)] = Tap{i0, std::min(i0 + 1, src - 1), 1 - f, f};
+  }
+  return taps;
+}
 
 }  // namespace
 
@@ -120,15 +244,7 @@ Yuv RgbToYuv(Pixel rgb) {
   return out;
 }
 
-Pixel YuvToRgb(Yuv yuv) {
-  const double y = yuv.y;
-  const double u = yuv.u - 128.0;
-  const double v = yuv.v - 128.0;
-  const uint8_t r = ClampByte(static_cast<int>(std::lround(y + 1.402 * v)));
-  const uint8_t g = ClampByte(static_cast<int>(std::lround(y - 0.344136 * u - 0.714136 * v)));
-  const uint8_t b = ClampByte(static_cast<int>(std::lround(y + 1.772 * u)));
-  return MakePixel(r, g, b);
-}
+Pixel YuvToRgb(Yuv yuv) { return Tables().Convert(yuv.y, yuv.u, yuv.v); }
 
 int BitsPerPixel(CscsDepth depth) { return static_cast<int>(depth); }
 
@@ -183,41 +299,17 @@ std::vector<uint8_t> PackCscsPayload(const YuvImage& image, CscsDepth depth) {
   const DepthSpec spec = SpecFor(depth);
   const int32_t w = image.width();
   const int32_t h = image.height();
-  std::vector<uint8_t> out;
-  out.reserve(CscsPayloadBytes(w, h, depth));
-  BitWriter writer(&out);
+  std::vector<uint8_t> out(CscsPayloadBytes(w, h, depth));
+  BitPacker packer(out);
   // Y plane: quantize by keeping top bits.
-  for (int32_t y = 0; y < h; ++y) {
-    for (int32_t x = 0; x < w; ++x) {
-      writer.Write(image.At(x, y).y >> (8 - spec.y_bits), spec.y_bits);
-    }
+  const int y_shift = 8 - spec.y_bits;
+  for (const uint8_t y : image.y_plane()) {
+    packer.Put(static_cast<uint32_t>(y) >> y_shift, spec.y_bits);
   }
-  writer.AlignByte();
-  // Chroma planes: average each subsampling block, then quantize.
-  const int32_t cw = (w + spec.c_sub_x - 1) / spec.c_sub_x;
-  const int32_t ch = (h + spec.c_sub_y - 1) / spec.c_sub_y;
-  for (const bool is_u : {true, false}) {
-    for (int32_t cy = 0; cy < ch; ++cy) {
-      for (int32_t cx = 0; cx < cw; ++cx) {
-        int sum = 0;
-        int count = 0;
-        for (int32_t dy = 0; dy < spec.c_sub_y; ++dy) {
-          for (int32_t dx = 0; dx < spec.c_sub_x; ++dx) {
-            const int32_t px = cx * spec.c_sub_x + dx;
-            const int32_t py = cy * spec.c_sub_y + dy;
-            if (px < w && py < h) {
-              const Yuv s = image.At(px, py);
-              sum += is_u ? s.u : s.v;
-              ++count;
-            }
-          }
-        }
-        const int avg = count > 0 ? (sum + count / 2) / count : 128;
-        writer.Write(static_cast<uint32_t>(avg) >> (8 - spec.c_bits), spec.c_bits);
-      }
-    }
-    writer.AlignByte();
-  }
+  packer.AlignByte();
+  PackChroma(image.u_plane(), w, h, spec, &packer);
+  PackChroma(image.v_plane(), w, h, spec, &packer);
+  SLIM_CHECK(packer.size() == out.size());
   return out;
 }
 
@@ -225,73 +317,64 @@ YuvImage UnpackCscsPayload(std::span<const uint8_t> payload, int32_t w, int32_t 
                            CscsDepth depth) {
   const DepthSpec spec = SpecFor(depth);
   YuvImage image(w, h);
-  BitReader reader(payload);
-  for (int32_t y = 0; y < h; ++y) {
-    for (int32_t x = 0; x < w; ++x) {
-      Yuv s = image.At(x, y);
-      s.y = ExpandBits(reader.Read(spec.y_bits), spec.y_bits);
-      image.Set(x, y, s);
-    }
+  BitUnpacker unpacker(payload);
+  const std::array<uint8_t, 256> expand_y = ExpandTable(spec.y_bits);
+  for (uint8_t& y : image.mutable_y_plane()) {
+    y = expand_y[unpacker.Get(spec.y_bits)];
   }
-  reader.AlignByte();
-  const int32_t cw = (w + spec.c_sub_x - 1) / spec.c_sub_x;
-  const int32_t ch = (h + spec.c_sub_y - 1) / spec.c_sub_y;
-  for (const bool is_u : {true, false}) {
-    for (int32_t cy = 0; cy < ch; ++cy) {
-      for (int32_t cx = 0; cx < cw; ++cx) {
-        const uint8_t value = ExpandBits(reader.Read(spec.c_bits), spec.c_bits);
-        for (int32_t dy = 0; dy < spec.c_sub_y; ++dy) {
-          for (int32_t dx = 0; dx < spec.c_sub_x; ++dx) {
-            const int32_t px = cx * spec.c_sub_x + dx;
-            const int32_t py = cy * spec.c_sub_y + dy;
-            if (px < w && py < h) {
-              Yuv s = image.At(px, py);
-              if (is_u) {
-                s.u = value;
-              } else {
-                s.v = value;
-              }
-              image.Set(px, py, s);
-            }
-          }
-        }
-      }
-    }
-    reader.AlignByte();
-  }
+  unpacker.AlignByte();
+  UnpackChroma(&unpacker, w, h, spec, image.mutable_u_plane());
+  UnpackChroma(&unpacker, w, h, spec, image.mutable_v_plane());
   return image;
 }
 
 std::vector<Pixel> YuvToRgbScaled(const YuvImage& image, int32_t dst_w, int32_t dst_h) {
   SLIM_CHECK(dst_w > 0 && dst_h > 0);
   std::vector<Pixel> out(static_cast<size_t>(dst_w) * dst_h);
+  const YuvToRgbTables& tables = Tables();
   const int32_t sw = image.width();
   const int32_t sh = image.height();
-  const double x_ratio = static_cast<double>(sw) / dst_w;
-  const double y_ratio = static_cast<double>(sh) / dst_h;
-  for (int32_t dy = 0; dy < dst_h; ++dy) {
-    const double sy = std::max(0.0, (dy + 0.5) * y_ratio - 0.5);
-    const int32_t y0 = std::min(static_cast<int32_t>(sy), sh - 1);
-    const int32_t y1 = std::min(y0 + 1, sh - 1);
-    const double fy = sy - y0;
-    for (int32_t dx = 0; dx < dst_w; ++dx) {
-      const double sx = std::max(0.0, (dx + 0.5) * x_ratio - 0.5);
-      const int32_t x0 = std::min(static_cast<int32_t>(sx), sw - 1);
-      const int32_t x1 = std::min(x0 + 1, sw - 1);
-      const double fx = sx - x0;
-      auto lerp = [&](auto get) {
-        const double top = get(x0, y0) * (1 - fx) + get(x1, y0) * fx;
-        const double bot = get(x0, y1) * (1 - fx) + get(x1, y1) * fx;
-        return top * (1 - fy) + bot * fy;
+  const uint8_t* ys = image.y_plane().data();
+  const uint8_t* us = image.u_plane().data();
+  const uint8_t* vs = image.v_plane().data();
+  Pixel* dst = out.data();
+  if (sw == dst_w && sh == dst_h) {
+    // Unscaled (MPEG): every tap has weights 1 and 0, so the lerp returns the source sample.
+    for (size_t i = 0; i < out.size(); ++i) {
+      dst[i] = tables.Convert(ys[i], us[i], vs[i]);
+    }
+    return out;
+  }
+  // The lerp of the definition, weights computed once per row and per column:
+  //   top = s(x0, y0) * (1 - fx) + s(x1, y0) * fx
+  //   bot = s(x0, y1) * (1 - fx) + s(x1, y1) * fx
+  //   out = lround(top * (1 - fy) + bot * fy)
+  const std::vector<Tap> rows = Taps(sh, dst_h);
+  if (sw == dst_w) {
+    // Vertical-only (NTSC fields): fx is 0 in every column, so top and bot are the samples.
+    for (const Tap& ty : rows) {
+      const size_t r0 = static_cast<size_t>(ty.i0) * sw;
+      const size_t r1 = static_cast<size_t>(ty.i1) * sw;
+      auto lerp = [&](const uint8_t* plane, int32_t x) {
+        return RoundToByte(plane[r0 + x] * ty.w0 + plane[r1 + x] * ty.w1);
       };
-      Yuv s;
-      s.y = ClampByte(static_cast<int>(
-          std::lround(lerp([&](int32_t x, int32_t y) { return double{1} * image.At(x, y).y; }))));
-      s.u = ClampByte(static_cast<int>(
-          std::lround(lerp([&](int32_t x, int32_t y) { return double{1} * image.At(x, y).u; }))));
-      s.v = ClampByte(static_cast<int>(
-          std::lround(lerp([&](int32_t x, int32_t y) { return double{1} * image.At(x, y).v; }))));
-      out[static_cast<size_t>(dy) * dst_w + dx] = YuvToRgb(s);
+      for (int32_t x = 0; x < dst_w; ++x) {
+        *dst++ = tables.Convert(lerp(ys, x), lerp(us, x), lerp(vs, x));
+      }
+    }
+    return out;
+  }
+  const std::vector<Tap> cols = Taps(sw, dst_w);
+  for (const Tap& ty : rows) {
+    const size_t r0 = static_cast<size_t>(ty.i0) * sw;
+    const size_t r1 = static_cast<size_t>(ty.i1) * sw;
+    for (const Tap& tx : cols) {
+      auto lerp = [&](const uint8_t* plane) {
+        const double top = plane[r0 + tx.i0] * tx.w0 + plane[r0 + tx.i1] * tx.w1;
+        const double bot = plane[r1 + tx.i0] * tx.w0 + plane[r1 + tx.i1] * tx.w1;
+        return RoundToByte(top * ty.w0 + bot * ty.w1);
+      };
+      *dst++ = tables.Convert(lerp(ys), lerp(us), lerp(vs));
     }
   }
   return out;

@@ -38,6 +38,10 @@ struct Yuv {
 };
 
 Yuv RgbToYuv(Pixel rgb);
+
+// The console's conversion back to RGB: per channel, ClampByte(lround(y + k * (c - 128)))
+// evaluated in double (R: 1.402 v; G: -0.344136 u - 0.714136 v; B: 1.772 u). Served from
+// tables built by evaluating that formula, so the result is the formula's bit for bit.
 Pixel YuvToRgb(Yuv yuv);
 
 enum class CscsDepth : uint8_t {
@@ -66,9 +70,13 @@ class YuvImage {
   // Converts an RGB block (row-major, w*h) into this image. Sizes must match.
   static YuvImage FromPixels(std::span<const Pixel> rgb, int32_t w, int32_t h);
 
+  // Row-major planes, width() * height() samples each (chroma is stored at full resolution).
   std::span<const uint8_t> y_plane() const { return y_; }
   std::span<const uint8_t> u_plane() const { return u_; }
   std::span<const uint8_t> v_plane() const { return v_; }
+  std::span<uint8_t> mutable_y_plane() { return y_; }
+  std::span<uint8_t> mutable_u_plane() { return u_; }
+  std::span<uint8_t> mutable_v_plane() { return v_; }
 
  private:
   int32_t width_;
@@ -91,7 +99,8 @@ YuvImage UnpackCscsPayload(std::span<const uint8_t> payload, int32_t w, int32_t 
                            CscsDepth depth);
 
 // Converts the YUV image to RGB pixels, bilinearly scaled to dst_w x dst_h.
-// When the sizes match this is a straight conversion.
+// When the sizes match this is a straight conversion. Every output pixel equals the double
+// reference formula (bilinear lerp with lround per component, then YuvToRgb) bit for bit.
 std::vector<Pixel> YuvToRgbScaled(const YuvImage& image, int32_t dst_w, int32_t dst_h);
 
 }  // namespace slim

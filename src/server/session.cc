@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "src/codec/decoder.h"
 #include "src/obs/latency_audit.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -276,7 +277,9 @@ void ServerSession::SendVideoFrame(const YuvImage& frame, const Rect& dst, CscsD
   cmd.src_h = frame.height();
   cmd.dst = Intersect(dst, fb_.bounds());
   cmd.depth = depth;
-  if (cmd.dst.empty()) {
+  // The console's scaler only enlarges, so it rejects a frame clipped below its source
+  // size; drop that frame here too, or the server would mirror a frame no console shows.
+  if (cmd.dst.empty() || cmd.src_w > cmd.dst.w || cmd.src_h > cmd.dst.h) {
     return;
   }
   cmd.payload = PackCscsPayload(frame, depth);
@@ -300,17 +303,20 @@ void ServerSession::SendVideoFrame(const YuvImage& frame, const Rect& dst, CscsD
 
 void ServerSession::TransmitVideoFrame(CscsCommand cmd) {
   const SimTime now = server_->simulator()->now();
-  // Keep the server's true framebuffer in sync with what the console will display.
-  fb_.SetPixels(cmd.dst, YuvToRgbScaled(UnpackCscsPayload(cmd.payload, cmd.src_w, cmd.src_h,
-                                                          cmd.depth),
-                                        cmd.dst.w, cmd.dst.h));
-  damage_.Subtract(cmd.dst);
-  log_.RecordXRequest(now, XVideoFrameBytes(cmd.dst.w, cmd.dst.h));
+  const Rect dst = cmd.dst;
+  // Keep the server's true framebuffer in sync with what the console will display by
+  // running the console's own decode on it.
+  DisplayCommand display(std::move(cmd));
+  const bool applied = ApplyCommand(display, &fb_);
+  SLIM_DCHECK(applied);
+  (void)applied;
+  damage_.Subtract(dst);
+  log_.RecordXRequest(now, XVideoFrameBytes(dst.w, dst.h));
   if (tracker_ != nullptr) {
     // CSCS bypasses the encoder; the fb already holds the converted pixels.
-    tracker_->SyncRect(fb_, cmd.dst);
+    tracker_->SyncRect(fb_, dst);
   }
-  QueueCommand(std::move(cmd));
+  QueueCommand(std::move(display));
   Flush();
 }
 

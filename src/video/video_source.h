@@ -31,6 +31,10 @@ class SyntheticVideoSource {
   YuvImage Field(int index, bool odd) const;
 
  private:
+  // Renders lines first_line, first_line + line_step, ... of frame `index` into the rows
+  // of `out`, top to bottom.
+  void Render(int index, int32_t first_line, int32_t line_step, YuvImage* out) const;
+
   int32_t width_;
   int32_t height_;
   uint64_t seed_;

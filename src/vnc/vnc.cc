@@ -1,5 +1,7 @@
 #include "src/vnc/vnc.h"
 
+#include <algorithm>
+
 #include "src/codec/decoder.h"
 #include "src/util/check.h"
 
@@ -71,7 +73,7 @@ void VncViewerSystem::OnViewerMessage(const Message& msg, NodeId from) {
   (void)from;
   if (std::holds_alternative<PongMsg>(msg.body)) {
     request_outstanding_ = false;
-    if (viewer_fb_.ContentHash() == source_->framebuffer().ContentHash()) {
+    if (InSync()) {
       last_synced_at_ = sim_->now();
     }
     return;
@@ -91,7 +93,7 @@ void VncViewerSystem::OnViewerMessage(const Message& msg, NodeId from) {
 }
 
 bool VncViewerSystem::InSync() const {
-  return viewer_fb_.ContentHash() == source_->framebuffer().ContentHash();
+  return std::ranges::equal(viewer_fb_.data(), source_->framebuffer().data());
 }
 
 }  // namespace slim

@@ -1,5 +1,6 @@
 #include "src/workload/user_study.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "src/net/fabric.h"
@@ -72,7 +73,7 @@ UserSessionResult RunUserSession(const UserSessionConfig& config) {
   result.commands_dropped = console.commands_dropped();
   result.input_events_sent = events_sent;
   result.framebuffers_match =
-      session.framebuffer().ContentHash() == console.framebuffer().ContentHash();
+      std::ranges::equal(session.framebuffer().data(), console.framebuffer().data());
   return result;
 }
 

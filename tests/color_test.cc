@@ -6,6 +6,7 @@
 
 #include "src/color/yuv.h"
 #include "src/util/rng.h"
+#include "tests/cscs_reference.h"
 
 namespace slim {
 namespace {
@@ -37,6 +38,17 @@ TEST(YuvTest, RoundTripErrorBounded) {
     const Pixel p = static_cast<Pixel>(rng.NextU64() & 0xffffff);
     const Pixel q = YuvToRgb(RgbToYuv(p));
     EXPECT_LE(ChannelError(p, q), 3) << std::hex << p;
+  }
+}
+
+TEST(YuvTest, ToRgbMatchesDoubleFormulaExhaustively) {
+  for (int y = 0; y < 256; ++y) {
+    for (int u = 0; u < 256; ++u) {
+      for (int v = 0; v < 256; ++v) {
+        const Yuv yuv{static_cast<uint8_t>(y), static_cast<uint8_t>(u), static_cast<uint8_t>(v)};
+        ASSERT_EQ(YuvToRgb(yuv), reference::YuvToRgb(yuv)) << y << "," << u << "," << v;
+      }
+    }
   }
 }
 
@@ -183,6 +195,66 @@ TEST(ScaleTest, UpscaleInterpolatesBetweenExtremes) {
   }
   EXPECT_LT(PixelR(out[0]), 64);
   EXPECT_GT(PixelR(out[7]), 192);
+}
+
+constexpr CscsDepth kAllDepths[] = {CscsDepth::k16, CscsDepth::k12, CscsDepth::k8,
+                                    CscsDepth::k6, CscsDepth::k5};
+
+YuvImage RandomImage(Rng* rng, int32_t w, int32_t h) {
+  YuvImage image(w, h);
+  for (auto plane : {image.mutable_y_plane(), image.mutable_u_plane(), image.mutable_v_plane()}) {
+    for (uint8_t& s : plane) {
+      s = static_cast<uint8_t>(rng->NextBelow(256));
+    }
+  }
+  return image;
+}
+
+// Pack -> unpack -> scale, each stage against the per-bit / per-pixel reference: payload
+// bytes, unpacked planes and scaled pixels must all be identical, for every depth, odd
+// sizes (partial chroma blocks, payloads ending mid-byte) and every scaler path.
+TEST(CscsTest, PipelineMatchesReferenceBitForBit) {
+  Rng rng(23);
+  for (const int32_t w : {1, 2, 3, 5, 8, 17, 33, 70}) {
+    for (const int32_t h : {1, 2, 3, 7, 16, 49}) {
+      const YuvImage image = RandomImage(&rng, w, h);
+      for (const CscsDepth depth : kAllDepths) {
+        SCOPED_TRACE(testing::Message() << w << "x" << h << " depth " << BitsPerPixel(depth));
+        const std::vector<uint8_t> payload = PackCscsPayload(image, depth);
+        ASSERT_EQ(payload, reference::PackCscsPayload(image, depth));
+        const YuvImage back = UnpackCscsPayload(payload, w, h, depth);
+        ASSERT_TRUE(
+            reference::SamePlanes(back, reference::UnpackCscsPayload(payload, w, h, depth)));
+        // Unscaled, 2x, vertical-only 2x (NTSC fields), horizontal-only and non-dyadic.
+        for (const auto& [dw, dh] : {std::pair{w, h}, std::pair{2 * w, 2 * h},
+                                    std::pair{w, 2 * h}, std::pair{2 * w, h},
+                                    std::pair{w * 5 / 3 + 1, h * 7 / 4 + 1}}) {
+          ASSERT_EQ(YuvToRgbScaled(back, dw, dh), reference::YuvToRgbScaled(back, dw, dh))
+              << "to " << dw << "x" << dh;
+        }
+      }
+    }
+  }
+}
+
+// Bytes from outside (nonzero padding bits, short payloads) unpack as the reference reads
+// them: padding is skipped and bits past the end read as zero.
+TEST(CscsTest, UnpackOfArbitraryBytesMatchesReference) {
+  Rng rng(29);
+  for (const CscsDepth depth : kAllDepths) {
+    for (const auto& [w, h] : {std::pair{1, 1}, std::pair{7, 5}, std::pair{33, 7}}) {
+      std::vector<uint8_t> bytes(CscsPayloadBytes(w, h, depth));
+      for (uint8_t& b : bytes) {
+        b = static_cast<uint8_t>(rng.NextBelow(256));
+      }
+      for (const size_t keep : {bytes.size(), bytes.size() / 2, size_t{0}}) {
+        const std::span<const uint8_t> payload(bytes.data(), keep);
+        EXPECT_TRUE(reference::SamePlanes(UnpackCscsPayload(payload, w, h, depth),
+                                          reference::UnpackCscsPayload(payload, w, h, depth)))
+            << w << "x" << h << " depth " << BitsPerPixel(depth) << " bytes " << keep;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "src/server/slim_server.h"
 #include "src/video/pipeline.h"
 #include "src/video/video_source.h"
+#include "tests/cscs_reference.h"
 
 namespace slim {
 namespace {
@@ -40,6 +41,29 @@ TEST(VideoSourceTest, FieldsAreHalfHeightAndInterlaced) {
   const YuvImage full = source.Frame(3);
   EXPECT_EQ(even.At(10, 5), full.At(10, 10));
   EXPECT_EQ(odd.At(10, 5), full.At(10, 11));
+}
+
+// Frames and both fields must equal the per-pixel reference exactly: the MPEG and NTSC
+// sizes, an odd size, and a 1-line source (whose odd field repeats line 0).
+TEST(VideoSourceTest, FramesAndFieldsMatchReferenceBitForBit) {
+  for (const auto& [w, h] : {std::pair{720, 480}, std::pair{640, 480}, std::pair{33, 7},
+                            std::pair{9, 1}}) {
+    const uint64_t seed = 71 + static_cast<uint64_t>(w);
+    const SyntheticVideoSource source(w, h, seed);
+    for (const int index : {0, 7, 151}) {
+      SCOPED_TRACE(testing::Message() << w << "x" << h << " frame " << index);
+      EXPECT_TRUE(reference::SamePlanes(source.Frame(index),
+                                        reference::SyntheticFrame(w, h, seed, index)));
+      for (const bool odd : {false, true}) {
+        EXPECT_TRUE(reference::SamePlanes(source.Field(index, odd),
+                                          reference::SyntheticField(w, h, seed, index, odd)))
+            << (odd ? "odd" : "even") << " field";
+      }
+    }
+  }
+  const SyntheticVideoSource line(9, 1, 5);
+  EXPECT_TRUE(reference::SamePlanes(line.Field(3, true), line.Frame(3)));
+  EXPECT_TRUE(reference::SamePlanes(line.Field(3, false), line.Frame(3)));
 }
 
 TEST(VideoCpuModelTest, CostsScaleWithWork) {

@@ -154,6 +154,23 @@ TEST_F(ServerFixture, VideoFrameShipsAsCscs) {
   EXPECT_TRUE(Matches(session)) << "server truth must mirror the console's decoded frame";
 }
 
+TEST_F(ServerFixture, VideoFrameClippedBelowSourceSizeIsDropped) {
+  ServerSession& session = AttachedSession();
+  YuvImage frame(64, 48);
+  for (int32_t y = 0; y < 48; ++y) {
+    for (int32_t x = 0; x < 64; ++x) {
+      frame.Set(x, y, Yuv{static_cast<uint8_t>(x * 4), 90, 170});
+    }
+  }
+  // The screen edge leaves 20 of the 64 columns: the console cannot shrink a frame, so the
+  // server must not mirror one either.
+  const int32_t width = session.framebuffer().width();
+  session.SendVideoFrame(frame, Rect{width - 20, 100, 64, 48}, CscsDepth::k12);
+  Sync();
+  EXPECT_EQ(console_.commands_rejected(), 0);
+  EXPECT_TRUE(Matches(session));
+}
+
 TEST_F(ServerFixture, HotdeskingMovesSessionBetweenConsoles) {
   ServerSession& session = AttachedSession();
   Rng rng(11);
