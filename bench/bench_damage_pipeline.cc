@@ -10,14 +10,13 @@
 //               the encoder only sees the residual.
 // Both streams are applied to replica framebuffers and CHECKed for bit-exact convergence,
 // so the speedup numbers are for equivalent, correct output. A second section times the
-// hash-indexed scroll detector against the retired probe-based reference on the same
-// frames (their results are CHECKed equal).
+// hash-indexed scroll detector, cold and with the pipeline's row-hash hints, on the same
+// frames (both results are CHECKed against the known shift).
 //
 // Knobs: SLIM_DP_FRAMES (timed frames, default 40), SLIM_DP_WIDTH/HEIGHT (default
 // 1280x1024), SLIM_DP_REPS (detector timing reps, default 25). Expect the refined
 // pipeline >= 2x the baseline at defaults (typically far more: the residual is one text
-// line out of 64), and the hash detector well ahead of the probe reference at the default
-// 64-row search depth.
+// line out of 64).
 
 #include <algorithm>
 #include <chrono>
@@ -173,16 +172,12 @@ int main() {
   report.Metric("refined.wire_bytes", static_cast<double>(refined.wire_bytes), "bytes");
   report.Metric("refined.speedup", speedup, "x");
 
-  // Scroll detector micro-bench: hash-indexed (cold and with the pipeline's hash hints)
-  // vs the probe-based reference, best of `reps`, on two inputs:
-  //   clean    — one true scroll step, the probe's best case (one confirm after cheap
-  //              sparse rejections);
+  // Scroll detector micro-bench: hash-indexed, cold and with the pipeline's hash hints,
+  // best of `reps`, on two inputs:
+  //   clean    — one true scroll step;
   //   periodic — striped content whose rows repeat every 8 rows plus one noise pixel
-  //              mid-frame. Every multiple-of-8 shift passes the sparse probe grid and
-  //              dies in a full confirm at the noise row, so the probe pays
-  //              O(max_shift / period) near-full-frame scans; the hash index never
-  //              proposes a candidate at all.
-  // Results of all three detector calls are CHECKed to agree on both inputs.
+  //              mid-frame, so many shifts look plausible row by row but none holds.
+  // Both detector calls are CHECKed to return the expected dy on both inputs.
   const auto bench_pair = [&](const char* label, const Framebuffer& b, const Framebuffer& a,
                               int32_t expect_dy) {
     const Rect rect = a.bounds();
@@ -195,8 +190,8 @@ int main() {
       after_rows[static_cast<size_t>(y)] = RowHash64(a.Row(y));
     }
     const ScrollHashHints hints{before_rows, after_rows};
-    double hash_ms = 0, hinted_ms = 0, probe_ms = 0;
-    int32_t hash_dy = 0, hinted_dy = 0, probe_dy = 0;
+    double hash_ms = 0, hinted_ms = 0;
+    int32_t hash_dy = 0, hinted_dy = 0;
     for (int rep = 0; rep <= reps; ++rep) {
       auto start = std::chrono::steady_clock::now();
       hash_dy = DetectVerticalScroll(b, a, rect, 64);
@@ -204,29 +199,17 @@ int main() {
       start = std::chrono::steady_clock::now();
       hinted_dy = DetectVerticalScroll(b, a, rect, 64, &hints);
       const double tms = MillisSince(start);
-      start = std::chrono::steady_clock::now();
-      probe_dy = DetectVerticalScrollProbe(b, a, rect, 64);
-      const double pms = MillisSince(start);
       if (rep > 0) {  // rep 0 warms up
         hash_ms = hash_ms == 0 ? hms : std::min(hash_ms, hms);
         hinted_ms = hinted_ms == 0 ? tms : std::min(hinted_ms, tms);
-        probe_ms = probe_ms == 0 ? pms : std::min(probe_ms, pms);
       }
     }
-    SLIM_CHECK(hash_dy == probe_dy && hinted_dy == probe_dy);
-    SLIM_CHECK(hash_dy == expect_dy);
-    const double detector_speedup = hash_ms > 0 ? probe_ms / hash_ms : 0;
-    const double hinted_speedup = hinted_ms > 0 ? probe_ms / hinted_ms : 0;
-    std::printf("  %-8s  probe %8.3f ms   hash %8.3f ms (%.2fx)   hinted %8.3f ms "
-                "(%.2fx)   dy %d\n",
-                label, probe_ms, hash_ms, detector_speedup, hinted_ms, hinted_speedup,
-                hash_dy);
+    SLIM_CHECK(hash_dy == expect_dy && hinted_dy == expect_dy);
+    std::printf("  %-8s  hash %8.3f ms   hinted %8.3f ms   dy %d\n", label, hash_ms,
+                hinted_ms, hash_dy);
     const std::string prefix = std::string("detector.") + label + ".";
-    report.Metric(prefix + "probe_best_ms", probe_ms, "ms");
     report.Metric(prefix + "hash_best_ms", hash_ms, "ms");
     report.Metric(prefix + "hinted_best_ms", hinted_ms, "ms");
-    report.Metric(prefix + "speedup", detector_speedup, "x");
-    report.Metric(prefix + "hinted_speedup", hinted_speedup, "x");
   };
 
   std::printf("Scroll detector (max_shift 64), best of %d:\n", reps);
@@ -241,7 +224,7 @@ int main() {
                  MakePixel(static_cast<uint8_t>(40 * (y % 8)), 64, 128));
   }
   Framebuffer noisy = striped;
-  noisy.PutPixel(width / 2 + 77, height / 2 + 1, kWhite);  // off the 16x16 probe grid
+  noisy.PutPixel(width / 2 + 77, height / 2 + 1, kWhite);
   bench_pair("periodic", striped, noisy, 0);
 
   return report.Write() ? 0 : 1;

@@ -1,13 +1,15 @@
-// Throughput of each pixel kernel (src/codec/kernels/) per dispatch tier, plus the
-// deterministic cross-tier parity checksums the bench_diff gate pins.
+// Throughput of each per-pixel row kernel, plus the deterministic parity checksums the
+// bench_diff gate pins.
 //
-// For every kernel in KernelOps and every tier this machine can execute, a pass
+// The dispatched kernels (KernelOps in src/codec/kernels/) run on every tier this build
+// has; the row hash (src/codec/row_hash.h) and the RGB->YUV row conversion
+// (src/color/yuv.h) are plain functions with one implementation and run once. A pass
 // processes SLIM_KB_ROWS rows of SLIM_KB_WIDTH pixels (best of SLIM_KB_REPS reps) and
-// reports GB/s of input pixels consumed plus the speedup over the scalar reference.
-// Content is chosen per kernel so no early-exit shortcuts the work: bicolor rows for
-// the two-color scan and bit-packer (the full-row "is this text?" worst case), equal
-// rows for the diff kernel (the dominant refinement case — rows whose full hash
-// collided but must be confirmed), random 24-bit pixels for the hash and YUV kernels.
+// reports GB/s of input pixels consumed plus each tier's speedup over scalar. Content is
+// chosen per kernel so no early-exit shortcuts the work: bicolor rows for the two-color
+// scan and bit-packer (the full-row "is this text?" worst case), equal rows for the diff
+// kernel (the dominant refinement case — rows whose full hash collided but must be
+// confirmed), random 24-bit pixels for the hash and YUV kernels.
 //
 // The timing numbers are machine-dependent and excluded from the bench_diff gate
 // (bench_diff_smoke_kernels skips "gbps"/"speedup"/"tiers"); what the committed
@@ -27,6 +29,8 @@
 #include <vector>
 
 #include "src/codec/kernels/kernels.h"
+#include "src/codec/row_hash.h"
+#include "src/color/yuv.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -42,11 +46,8 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 
 std::vector<const KernelOps*> AvailableTiers() {
   std::vector<const KernelOps*> tiers{KernelsForTier(KernelTier::kScalar)};
-  for (const KernelTier tier :
-       {KernelTier::kSse2, KernelTier::kAvx2, KernelTier::kNeon}) {
-    if (const KernelOps* ops = KernelsForTier(tier)) {
-      tiers.push_back(ops);
-    }
+  if (const KernelOps* sse2 = KernelsForTier(KernelTier::kSse2)) {
+    tiers.push_back(sse2);
   }
   return tiers;
 }
@@ -86,8 +87,9 @@ struct ParityInputs {
 constexpr size_t kParityOffsets[] = {0, 1, 3};
 constexpr size_t kParityMaxWidth = 130;
 
-// Computes the per-kernel output checksum for one tier. Bit-identity across tiers means
-// these folds agree for every tier; the scalar value is what the baseline pins.
+// Computes the per-kernel output checksum for one tier (the plain functions ignore
+// `ops`). Bit-identity across tiers means these folds agree for every tier; the scalar
+// value is what the baseline pins.
 uint32_t ParityChecksum(const KernelOps& ops, const char* kernel,
                         const ParityInputs& in) {
   Fold fold;
@@ -95,7 +97,7 @@ uint32_t ParityChecksum(const KernelOps& ops, const char* kernel,
   for (const size_t offset : kParityOffsets) {
     for (size_t w = 0; w + offset < kParityMaxWidth; ++w) {
       if (name == "row_hash") {
-        fold.U64(ops.row_hash(in.random.data() + offset, w));
+        fold.U64(RowHash64({in.random.data() + offset, w}));
       } else if (name == "scan_colors") {
         ColorScan scan;
         ops.scan_colors(in.bicolor.data() + offset, w, &scan);
@@ -123,7 +125,7 @@ uint32_t ParityChecksum(const KernelOps& ops, const char* kernel,
         fold.U32(static_cast<uint32_t>(hi));
       } else {  // rgb_to_yuv_row
         uint8_t y[kParityMaxWidth], u[kParityMaxWidth], v[kParityMaxWidth];
-        ops.rgb_to_yuv_row(in.random.data() + offset, w, y, u, v);
+        RgbToYuvRow(in.random.data() + offset, w, y, u, v);
         for (size_t i = 0; i < w; ++i) {
           fold.Byte(y[i]);
           fold.Byte(u[i]);
@@ -176,6 +178,7 @@ int main() {
 
   struct KernelCase {
     const char* name;
+    bool dispatched;  // false: a plain function, timed once (as "scalar")
     // Runs one full pass over the input rows; returns a sink value so the optimizer
     // cannot delete the loop.
     uint64_t (*pass)(const KernelOps&, const std::vector<Pixel>&,
@@ -184,18 +187,18 @@ int main() {
                      std::vector<uint8_t>*, std::vector<uint8_t>*);
   };
   const KernelCase cases[] = {
-      {"row_hash",
-       [](const KernelOps& ops, const std::vector<Pixel>& noise,
+      {"row_hash", false,
+       [](const KernelOps&, const std::vector<Pixel>& noise,
           const std::vector<Pixel>&, const std::vector<Pixel>&, size_t n, int rows,
           std::vector<uint8_t>*, std::vector<uint8_t>*, std::vector<uint8_t>*,
           std::vector<uint8_t>*) {
          uint64_t sink = 0;
          for (int r = 0; r < rows; ++r) {
-           sink ^= ops.row_hash(noise.data() + static_cast<size_t>(r) * n, n);
+           sink ^= RowHash64({noise.data() + static_cast<size_t>(r) * n, n});
          }
          return sink;
        }},
-      {"scan_colors",
+      {"scan_colors", true,
        [](const KernelOps& ops, const std::vector<Pixel>&,
           const std::vector<Pixel>& bicolor, const std::vector<Pixel>&, size_t n,
           int rows, std::vector<uint8_t>*, std::vector<uint8_t>*,
@@ -208,7 +211,7 @@ int main() {
          }
          return sink;
        }},
-      {"pack_bitmap_row",
+      {"pack_bitmap_row", true,
        [](const KernelOps& ops, const std::vector<Pixel>&,
           const std::vector<Pixel>& bicolor, const std::vector<Pixel>&, size_t n,
           int rows, std::vector<uint8_t>* bits, std::vector<uint8_t>*,
@@ -221,7 +224,7 @@ int main() {
          }
          return sink;
        }},
-      {"row_diff_span",
+      {"row_diff_span", true,
        [](const KernelOps& ops, const std::vector<Pixel>& noise,
           const std::vector<Pixel>&, const std::vector<Pixel>& noise_copy, size_t n,
           int rows, std::vector<uint8_t>*, std::vector<uint8_t>*,
@@ -237,15 +240,15 @@ int main() {
          }
          return sink;
        }},
-      {"rgb_to_yuv_row",
-       [](const KernelOps& ops, const std::vector<Pixel>& noise,
+      {"rgb_to_yuv_row", false,
+       [](const KernelOps&, const std::vector<Pixel>& noise,
           const std::vector<Pixel>&, const std::vector<Pixel>&, size_t n, int rows,
           std::vector<uint8_t>*, std::vector<uint8_t>* yp, std::vector<uint8_t>* up,
           std::vector<uint8_t>* vp) {
          uint64_t sink = 0;
          for (int r = 0; r < rows; ++r) {
-           ops.rgb_to_yuv_row(noise.data() + static_cast<size_t>(r) * n, n,
-                              yp->data(), up->data(), vp->data());
+           RgbToYuvRow(noise.data() + static_cast<size_t>(r) * n, n, yp->data(),
+                       up->data(), vp->data());
            sink += (*yp)[0] + (*up)[n / 2] + (*vp)[n - 1];
          }
          return sink;
@@ -254,10 +257,12 @@ int main() {
 
   const ParityInputs parity_inputs;
   for (const KernelCase& kc : cases) {
+    const std::vector<const KernelOps*> kc_tiers =
+        kc.dispatched ? tiers : std::vector<const KernelOps*>{tiers[0]};
     // Parity checksums first: every tier must fold to the same value, and the scalar
     // fold is the deterministic metric the committed baseline pins.
     const uint32_t checksum = ParityChecksum(*tiers[0], kc.name, parity_inputs);
-    for (const KernelOps* ops : tiers) {
+    for (const KernelOps* ops : kc_tiers) {
       SLIM_CHECK(ParityChecksum(*ops, kc.name, parity_inputs) == checksum);
     }
     report.Metric(std::string("parity.") + kc.name + ".checksum",
@@ -265,7 +270,7 @@ int main() {
 
     double scalar_ms = 0;
     std::printf("  %-16s", kc.name);
-    for (const KernelOps* ops : tiers) {
+    for (const KernelOps* ops : kc_tiers) {
       double best_ms = 0;
       uint64_t sink = 0;
       for (int rep = 0; rep <= reps; ++rep) {

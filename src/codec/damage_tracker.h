@@ -23,10 +23,8 @@
 // console itself stays stateless, exactly as the paper requires (DESIGN.md). Losing or
 // distrusting the shadow (Invalidate) costs one full retransmit, nothing more.
 //
-// Threading: a tracker belongs to one session and is only touched from the session's
-// owning thread. It runs before EncoderPool fan-out, so refinement does not perturb the
-// pool's bit-identical-across-thread-counts contract — the pool just sees a smaller
-// region.
+// A tracker belongs to one session and runs before that session's encoder, which just
+// sees a smaller region.
 
 #ifndef SRC_CODEC_DAMAGE_TRACKER_H_
 #define SRC_CODEC_DAMAGE_TRACKER_H_

@@ -86,8 +86,6 @@ Encoder::Encoder(EncoderOptions options) : options_(options) {
   SLIM_CHECK(options_.band_height > 0);
   SLIM_CHECK(options_.chunk_width > 0);
   SLIM_CHECK(options_.max_set_pixels > 0);
-  SLIM_CHECK(options_.threads > 0);
-  SLIM_CHECK(options_.scroll_max_shift >= 0);
 }
 
 std::vector<DisplayCommand> Encoder::EncodeDamage(const Framebuffer& fb,
@@ -102,23 +100,13 @@ std::vector<DisplayCommand> Encoder::EncodeDamage(const Framebuffer& fb,
 void Encoder::EncodeRect(const Framebuffer& fb, const Rect& rect,
                          std::vector<DisplayCommand>* out) const {
   SLIM_DCHECK(out != nullptr);
-  std::vector<Rect> bands;
-  AppendBands(fb, rect, &bands);
-  for (const Rect& band : bands) {
-    EncodeBand(fb, band, out);
-  }
-}
-
-void Encoder::AppendBands(const Framebuffer& fb, const Rect& rect,
-                          std::vector<Rect>* out) const {
-  SLIM_DCHECK(out != nullptr);
   const Rect clipped = Intersect(rect, fb.bounds());
   if (clipped.empty()) {
     return;
   }
   for (int32_t y = clipped.y; y < clipped.bottom(); y += options_.band_height) {
     const int32_t bh = std::min(options_.band_height, clipped.bottom() - y);
-    out->push_back(Rect{clipped.x, y, clipped.w, bh});
+    EncodeBand(fb, Rect{clipped.x, y, clipped.w, bh}, out);
   }
 }
 
@@ -338,55 +326,6 @@ int32_t DetectVerticalScroll(const Framebuffer& before, const Framebuffer& after
       }
       if (confirmed) {
         return dy;
-      }
-    }
-  }
-  return 0;
-}
-
-int32_t DetectVerticalScrollProbe(const Framebuffer& before, const Framebuffer& after,
-                                  const Rect& rect, int32_t max_shift) {
-  const Rect r = Intersect(rect, after.bounds());
-  if (r.empty() || r.h < 8 || r.w < 8) {
-    return 0;
-  }
-  // Sample a sparse grid of probe points; a shift must explain nearly all of them. The
-  // probe count is clamped to the rect so integer-division positions never collapse onto
-  // duplicate columns/rows: with probes <= extent the stride is at least one pixel, and a
-  // duplicated probe would count the same pixel twice, inflating the grid's confidence.
-  constexpr int32_t kProbesX = 16;
-  constexpr int32_t kProbesY = 16;
-  const int32_t probes_x = std::min(kProbesX, r.w);
-  const int32_t probes_y = std::min(kProbesY, r.h);
-  for (int32_t magnitude = 1; magnitude <= max_shift; ++magnitude) {
-    for (const int32_t dy : {-magnitude, magnitude}) {
-      int matches = 0;
-      int probes = 0;
-      for (int32_t py = 0; py < probes_y; ++py) {
-        const int32_t y = r.y + static_cast<int64_t>(py) * r.h / probes_y;
-        const int32_t sy = y - dy;
-        if (sy < r.y || sy >= r.bottom()) {
-          continue;
-        }
-        for (int32_t px = 0; px < probes_x; ++px) {
-          const int32_t x = r.x + static_cast<int64_t>(px) * r.w / probes_x;
-          ++probes;
-          if (after.GetPixel(x, y) == before.GetPixel(x, sy)) {
-            ++matches;
-          }
-        }
-      }
-      if (probes > 0 && matches == probes) {
-        // Confirm exhaustively on the shifted interior before trusting the sparse probe.
-        const int32_t y0 = std::max(r.y, r.y + dy);
-        const int32_t y1 = std::min(r.bottom(), r.bottom() + dy);
-        bool confirmed = true;
-        for (int32_t y = y0; y < y1 && confirmed; ++y) {
-          confirmed = RowSpansEqual(after, y, before, y - dy, r.x, r.w);
-        }
-        if (confirmed) {
-          return dy;
-        }
       }
     }
   }

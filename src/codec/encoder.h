@@ -33,22 +33,12 @@ struct EncoderOptions {
   // the transport's reassembly limits and the console can interleave other flows.
   int64_t max_set_pixels = 128 * 1024;
 
-  // Worker threads for damage encoding. 1 = serial (encode on the calling thread, no pool);
-  // >1 enables EncoderPool (src/codec/parallel.h), which splits damage into bands and
-  // encodes them concurrently with bit-identical output for every thread count.
-  int threads = 1;
-
   // Shadow-frame damage refinement (src/codec/damage_tracker.h): the session keeps a copy
   // of the last-transmitted frame plus per-row hashes and trims draw-op damage to the
   // pixels that actually changed before encoding, so over-broad damage (RepaintAll,
   // full-window PutImage of mostly-unchanged content) costs what it is worth. Disable for
   // ablation with SLIM_DAMAGE_TRACKER=0 (env override applied in SlimServer).
   bool damage_tracker = true;
-
-  // Maximum |dy| the damage tracker's scroll salvage searches when a large damage block
-  // might be the shadow frame shifted vertically (hint-less scrolls arriving as full
-  // repaints). 0 disables salvage. Only meaningful when damage_tracker is on.
-  int32_t scroll_max_shift = 64;
 };
 
 // Statistics the encoder keeps per command type; the Figure 4 harness reads these.
@@ -57,8 +47,6 @@ struct EncodeStats {
   int64_t wire_bytes = 0;          // bytes on the wire, headers included
   int64_t uncompressed_bytes = 0;  // 3 bytes per affected pixel
   int64_t pixels = 0;
-
-  bool operator==(const EncodeStats&) const = default;
 };
 
 class Encoder {
@@ -72,18 +60,8 @@ class Encoder {
   // fb inside the damage region (the round-trip property tested in codec_test).
   std::vector<DisplayCommand> EncodeDamage(const Framebuffer& fb, const Region& damage) const;
 
-  // Encodes a single rectangle (clipped to fb bounds).
+  // Encodes a single rectangle (clipped to fb bounds), band_height rows at a time.
   void EncodeRect(const Framebuffer& fb, const Rect& rect,
-                  std::vector<DisplayCommand>* out) const;
-
-  // Appends the band decomposition EncodeRect analyzes for `rect` (clipped to fb bounds) to
-  // out. This is the unit of work the parallel path distributes: encoding the bands of a
-  // damage region in order with EncodeBand produces exactly EncodeDamage's command stream,
-  // because bands are analyzed independently (no cross-band encoder state).
-  void AppendBands(const Framebuffer& fb, const Rect& rect, std::vector<Rect>* out) const;
-
-  // Encodes one band (as produced by AppendBands). Thread-safe: only reads options_ and fb.
-  void EncodeBand(const Framebuffer& fb, const Rect& band,
                   std::vector<DisplayCommand>* out) const;
 
   // Accumulates per-type stats for a command list into a 6-slot array indexed by
@@ -91,13 +69,17 @@ class Encoder {
   static void Accumulate(const std::vector<DisplayCommand>& cmds,
                          EncodeStats stats[6]);
 
-  // One row of Accumulate: range-checked slot update shared by the serial and parallel
-  // accumulation paths. Aborts on a command type outside the wire enum — a malformed type
-  // (e.g. decoded from a corrupted stream) must not index out of bounds.
+  // One row of Accumulate: range-checked slot update. Aborts on a command type outside the
+  // wire enum — a malformed type (e.g. decoded from a corrupted stream) must not index out
+  // of bounds.
   static void AccumulateOne(CommandType type, size_t wire_bytes, int64_t uncompressed_bytes,
                             int64_t pixels, EncodeStats stats[6]);
 
  private:
+  // Encodes one band of EncodeRect's clipped rect. Bands are analyzed independently: no
+  // encoder state crosses a band boundary.
+  void EncodeBand(const Framebuffer& fb, const Rect& band,
+                  std::vector<DisplayCommand>* out) const;
   void EmitSet(const Framebuffer& fb, const Rect& rect, std::vector<DisplayCommand>* out) const;
   void EmitBitmap(const Framebuffer& fb, const Rect& rect, Pixel bg, Pixel fg,
                   std::vector<DisplayCommand>* out) const;
@@ -126,18 +108,11 @@ struct ScrollHashHints {
 // shifts; candidates whose votes cover the entire overlap are then confirmed by row memcmp
 // in the same smallest-|dy|-first, negative-before-positive preference order the
 // probe-based detector used, so the two agree on every input (property-tested in
-// tests/damage_tracker_test.cc). Cost no longer scales with max_shift: the per-magnitude
-// pixel probing is gone.
+// tests/damage_tracker_test.cc against tests/scroll_probe_reference.h). Cost does not
+// scale with max_shift: there is no per-magnitude pixel probing.
 int32_t DetectVerticalScroll(const Framebuffer& before, const Framebuffer& after,
                              const Rect& rect, int32_t max_shift,
                              const ScrollHashHints* hints = nullptr);
-
-// The original probe-grid detector: tries every magnitude in [1, max_shift], sampling a
-// sparse 16x16 probe grid before confirming exhaustively. Kept as the reference
-// implementation the hash-indexed detector is property-tested against (and benchmarked
-// against in bench_damage_pipeline); not used on the serving path.
-int32_t DetectVerticalScrollProbe(const Framebuffer& before, const Framebuffer& after,
-                                  const Rect& rect, int32_t max_shift);
 
 }  // namespace slim
 

@@ -11,8 +11,10 @@ namespace slim {
 namespace {
 
 const KernelOps kScalarKernels{
-    KernelTier::kScalar,    RowHashScalar,      ScanColorsScalar,
-    PackBitmapRowScalar,    RowDiffSpanScalar,  RgbToYuvRowScalar,
+    KernelTier::kScalar,
+    ScanColorsScalar,
+    PackBitmapRowScalar,
+    RowDiffSpanScalar,
 };
 
 // Resolved-once dispatch table. Resolution races are benign: every racer computes the
@@ -28,14 +30,13 @@ const KernelOps* Resolve() {
   const std::optional<KernelTier> forced = KernelTierFromName(value);
   if (!forced.has_value()) {
     std::fprintf(stderr,
-                 "slim: ignoring SLIM_KERNELS='%s' (want scalar, sse2, avx2 or neon); "
-                 "using %s\n",
+                 "slim: ignoring SLIM_KERNELS='%s' (want scalar or sse2); using %s\n",
                  value, KernelTierName(best));
     return KernelsForTier(best);
   }
   const KernelOps* ops = KernelsForTier(*forced);
   if (ops == nullptr) {
-    std::fprintf(stderr, "slim: SLIM_KERNELS=%s is not supported on this CPU; using %s\n",
+    std::fprintf(stderr, "slim: SLIM_KERNELS=%s is not in this build; using %s\n",
                  KernelTierName(*forced), KernelTierName(best));
     return KernelsForTier(best);
   }
@@ -50,10 +51,6 @@ const char* KernelTierName(KernelTier tier) {
       return "scalar";
     case KernelTier::kSse2:
       return "sse2";
-    case KernelTier::kAvx2:
-      return "avx2";
-    case KernelTier::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -70,12 +67,6 @@ std::optional<KernelTier> KernelTierFromName(const std::string& name) {
   if (lower == "sse2") {
     return KernelTier::kSse2;
   }
-  if (lower == "avx2") {
-    return KernelTier::kAvx2;
-  }
-  if (lower == "neon") {
-    return KernelTier::kNeon;
-  }
   return std::nullopt;
 }
 
@@ -85,25 +76,16 @@ const KernelOps* KernelsForTier(KernelTier tier) {
       return &kScalarKernels;
     case KernelTier::kSse2:
       return GetSse2Kernels();
-    case KernelTier::kAvx2:
-      return GetAvx2Kernels();
-    case KernelTier::kNeon:
-      return GetNeonKernels();
   }
   return nullptr;
 }
 
 KernelTier BestSupportedTier() {
-  if (GetAvx2Kernels() != nullptr) {
-    return KernelTier::kAvx2;
-  }
-  if (GetNeonKernels() != nullptr) {
-    return KernelTier::kNeon;
-  }
-  if (GetSse2Kernels() != nullptr) {
-    return KernelTier::kSse2;
-  }
+#if defined(__SSE2__)
+  return KernelTier::kSse2;
+#else
   return KernelTier::kScalar;
+#endif
 }
 
 const KernelOps& Kernels() {

@@ -1,20 +1,17 @@
-// SIMD pixel-kernel layer with runtime CPU dispatch.
+// Pixel-kernel layer with one dispatch choice per process.
 //
-// Every per-pixel hot loop in the damage/encode/convert path (row hashing, two-color
-// scanning, bitmap bit-packing, row diffing, RGB->YUV conversion) funnels through the
-// function pointers in KernelOps. A tier is one complete implementation of that table:
-// scalar (the portable reference), SSE2, AVX2, and a NEON stub that forwards to scalar
-// until someone with ARM hardware fills it in. Dispatch is resolved exactly once, at
-// first use, from CPUID plus the SLIM_KERNELS env override, and published through the
-// metric registry as `codec.kernels.tier`.
+// The encoder's and damage tracker's compare-shaped hot loops (two-color scanning, bitmap
+// bit-packing, row diffing) funnel through the function pointers in KernelOps. A tier is
+// one complete implementation of that table: scalar (the portable reference) and SSE2,
+// which is part of x86-64 and so is compiled whenever the build targets it. Dispatch is
+// resolved once, at first use, from the build plus the SLIM_KERNELS env override, and
+// published through the metric registry as `codec.kernels.tier`.
 //
 // The load-bearing invariant: EVERY tier is bit-identical to the scalar reference on
-// every input — same hash constants, same first/second color choice, same fixed-point
-// YUV rounding. The encoder's wire output therefore does not depend on the machine the
-// server runs on (or on SLIM_KERNELS), which keeps the PR 3/PR 4 stream-equality
-// properties — identical bytes for every thread count — holding per kernel tier too.
-// tests/kernels_test.cc fuzzes each tier against scalar across widths 1..257 and
-// unaligned offsets; never add a tier function that "almost" matches.
+// every input (same first/second color choice, same packed bits, same diff span). The
+// encoder's wire output therefore does not depend on the machine the server runs on (or
+// on SLIM_KERNELS). tests/kernels_test.cc fuzzes each tier against scalar across widths
+// 0..257 and unaligned offsets; never add a tier function that "almost" matches.
 
 #ifndef SRC_CODEC_KERNELS_KERNELS_H_
 #define SRC_CODEC_KERNELS_KERNELS_H_
@@ -30,13 +27,11 @@ namespace slim {
 enum class KernelTier : uint8_t {
   kScalar = 0,
   kSse2 = 1,
-  kAvx2 = 2,
-  kNeon = 3,
 };
 
 const char* KernelTierName(KernelTier tier);
 
-// Parses a SLIM_KERNELS value ("scalar", "sse2", "avx2", "neon", case-insensitive).
+// Parses a SLIM_KERNELS value ("scalar" or "sse2", case-insensitive).
 // Returns nullopt for anything else.
 std::optional<KernelTier> KernelTierFromName(const std::string& name);
 
@@ -52,10 +47,6 @@ struct ColorScan {
 struct KernelOps {
   KernelTier tier = KernelTier::kScalar;
 
-  // The shared 4-lane FNV-1a row hash (see src/codec/row_hash.h for the algorithm and
-  // why producers and consumers must agree on this one definition).
-  uint64_t (*row_hash)(const Pixel* row, size_t n);
-
   // Feeds n pixels into `scan`, early-exiting as soon as distinct hits 3. Safe to call
   // row by row with the same state.
   void (*scan_colors)(const Pixel* row, size_t n, ColorScan* scan);
@@ -68,29 +59,24 @@ struct KernelOps {
   // first differing index and one past the last differing index.
   bool (*row_diff_span)(const Pixel* a, const Pixel* b, size_t n, int32_t* lo,
                         int32_t* hi);
-
-  // Bulk BT.601 full-range RGB->YUV over one row, writing the three planes. Fixed-point
-  // (20-bit coefficients, round-half-up) so every tier rounds identically; the
-  // single-pixel RgbToYuv in src/color/yuv.cc uses the same arithmetic.
-  void (*rgb_to_yuv_row)(const Pixel* rgb, size_t n, uint8_t* y, uint8_t* u, uint8_t* v);
 };
 
-// The dispatch table for `tier`, or nullptr when that tier is not compiled in or the
-// CPU cannot execute it. KernelTier::kScalar never returns nullptr.
+// The dispatch table for `tier`, or nullptr when that tier is not compiled in.
+// KernelTier::kScalar never returns nullptr.
 const KernelOps* KernelsForTier(KernelTier tier);
 
-// The best tier this CPU supports (what dispatch picks absent SLIM_KERNELS).
+// What dispatch picks absent SLIM_KERNELS, fixed at compile time: kSse2 when the build
+// targets SSE2 (every x86-64 build), otherwise kScalar.
 KernelTier BestSupportedTier();
 
 // The process-wide kernel table. First call resolves: SLIM_KERNELS forces a tier (with
-// a warning + fallback to BestSupportedTier() when the value is unknown or the CPU
-// lacks it); otherwise BestSupportedTier() wins. Thread-safe; the resolved table never
-// changes afterwards except through ScopedKernelsForTest.
+// a warning + fallback to BestSupportedTier() when the value is unknown or the build
+// lacks it); otherwise BestSupportedTier() wins. The resolved table never changes
+// afterwards except through ScopedKernelsForTest.
 const KernelOps& Kernels();
 
-// Test-only: overrides Kernels() for the scope of the object. Not safe while encoder
-// worker pools or other threads are touching kernels concurrently — install it before
-// spawning them (tests/kernels_test.cc uses it to prove wire-stream equality per tier).
+// Test-only: overrides Kernels() for the scope of the object (tests/kernels_test.cc uses
+// it to prove wire-stream equality per tier).
 class ScopedKernelsForTest {
  public:
   explicit ScopedKernelsForTest(const KernelOps* ops);
@@ -102,20 +88,8 @@ class ScopedKernelsForTest {
   const KernelOps* saved_;
 };
 
-// Per-tier tables, defined in their own translation units so only kernels_avx2.cc is
-// compiled with -mavx2 (see src/CMakeLists.txt). Each returns nullptr when its ISA is
-// not available to the build.
+// The SSE2 table (kernels_sse2.cc), or nullptr when the build does not target SSE2.
 const KernelOps* GetSse2Kernels();
-const KernelOps* GetAvx2Kernels();
-const KernelOps* GetNeonKernels();
-
-// The NEON tier's dispatch table regardless of the build ISA. The stub's bodies are all
-// scalar forwards, so the table itself runs anywhere; only GetNeonKernels() gates it out
-// of dispatch on non-ARM builds. Never returns nullptr. Exists so the parity matrix in
-// tests/kernels_test.cc exercises the NEON table (via ScopedKernelsForTest) on every CI
-// host instead of only on AArch64 — when the stub grows real vector bodies, this becomes
-// ARM-only again and the test falls back to skipping off-ISA (see GetNeonKernels()).
-const KernelOps* GetNeonKernelsForTest();
 
 }  // namespace slim
 

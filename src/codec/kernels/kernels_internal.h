@@ -1,78 +1,18 @@
-// Scalar reference implementations of every kernel, shared by the tier translation
-// units: the scalar tier exports them verbatim, and the SIMD tiers call them for heads,
-// tails and rare-path fallbacks so a vector body plus this tail is still bit-identical
-// to the pure scalar run.
-//
-// Everything lives in an anonymous namespace ON PURPOSE: each tier .cc is compiled with
-// its own ISA flags (-mavx2 only for kernels_avx2.cc), and an ordinary inline function
-// defined in a header would be merged across those TUs by the linker — potentially
-// keeping the copy compiled with AVX2 codegen and crashing a non-AVX2 machine inside
-// what looks like scalar code. Internal linkage gives every TU its own copy compiled
-// with that TU's flags. Do not "clean this up" into extern inline.
+// Scalar reference implementations of the kernels, shared by the tier translation units:
+// the scalar tier exports them verbatim, and the SSE2 tier calls them for tails and
+// rare-path fallbacks, so a vector body plus this tail is still bit-identical to the
+// pure scalar run.
 
 #ifndef SRC_CODEC_KERNELS_KERNELS_INTERNAL_H_
 #define SRC_CODEC_KERNELS_KERNELS_INTERNAL_H_
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 
 #include "src/codec/kernels/kernels.h"
 
 namespace slim {
-namespace {
-
-// movemask-style instructions put pixel 0 in bit 0, but bitmap rows are packed MSB-first
-// (pixel 0 in bit 7), so the SIMD packers run each 8-pixel mask through this table.
-constexpr std::array<uint8_t, 256> kBitReverse = [] {
-  std::array<uint8_t, 256> table{};
-  for (int i = 0; i < 256; ++i) {
-    uint8_t r = 0;
-    for (int bit = 0; bit < 8; ++bit) {
-      r = static_cast<uint8_t>(r | (((i >> bit) & 1) << (7 - bit)));
-    }
-    table[static_cast<size_t>(i)] = r;
-  }
-  return table;
-}();
-
-// ---- Row hash (the 4-lane FNV-1a from src/codec/row_hash.h) -------------------------
-
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;  // == (1 << 40) + 0x1b3
-constexpr uint64_t kHashLane0 = 0xcbf29ce484222325ull;
-constexpr uint64_t kHashLane1 = 0x9e3779b97f4a7c15ull;
-constexpr uint64_t kHashLane2 = 0xbf58476d1ce4e5b9ull;
-constexpr uint64_t kHashLane3 = 0x94d049bb133111ebull;
-
-// Lane fold + SplitMix64-style avalanche; shared verbatim by every tier.
-inline uint64_t RowHashFinish(uint64_t h0, uint64_t h1, uint64_t h2, uint64_t h3) {
-  uint64_t h = (((h0 ^ h1) * kFnvPrime ^ h2) * kFnvPrime ^ h3) * kFnvPrime;
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return h;
-}
-
-inline uint64_t RowHashScalar(const Pixel* row, size_t n) {
-  uint64_t h0 = kHashLane0;
-  uint64_t h1 = kHashLane1;
-  uint64_t h2 = kHashLane2;
-  uint64_t h3 = kHashLane3;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    h0 = (h0 ^ row[i]) * kFnvPrime;
-    h1 = (h1 ^ row[i + 1]) * kFnvPrime;
-    h2 = (h2 ^ row[i + 2]) * kFnvPrime;
-    h3 = (h3 ^ row[i + 3]) * kFnvPrime;
-  }
-  for (; i < n; ++i) {
-    h0 = (h0 ^ row[i]) * kFnvPrime;
-  }
-  return RowHashFinish(h0, h1, h2, h3);
-}
 
 // ---- Two-color scan ------------------------------------------------------------------
 
@@ -131,39 +71,6 @@ inline bool RowDiffSpanScalar(const Pixel* a, const Pixel* b, size_t n, int32_t*
   return true;
 }
 
-// ---- RGB -> YUV (fixed point) --------------------------------------------------------
-//
-// BT.601 full-range coefficients scaled by 2^20, rounded half-up. The luma weights sum
-// to exactly 2^20 (white -> 255 exactly) and the chroma weight pairs each sum to
-// exactly 2^19 (gray -> 128 exactly). Y is always in [0, 255]; U/V can reach 256 at the
-// saturated corners (e.g. pure blue: 128 + 0.5*255 = 255.5 rounds up), hence the min.
-
-constexpr int32_t kYuvShift = 20;
-constexpr int32_t kYuvHalf = 1 << (kYuvShift - 1);
-constexpr int32_t kYuvBias = 128 << kYuvShift;
-constexpr int32_t kYR = 313524, kYG = 615514, kYB = 119538;     // sum == 1 << 20
-constexpr int32_t kUR = 176933, kUG = 347355, kUB = 524288;     // kUR + kUG == kUB
-constexpr int32_t kVR = 524288, kVG = 439026, kVB = 85262;      // kVG + kVB == kVR
-
-inline void RgbToYuvScalarOne(Pixel p, uint8_t* y, uint8_t* u, uint8_t* v) {
-  const int32_t r = PixelR(p);
-  const int32_t g = PixelG(p);
-  const int32_t b = PixelB(p);
-  *y = static_cast<uint8_t>((kYR * r + kYG * g + kYB * b + kYuvHalf) >> kYuvShift);
-  *u = static_cast<uint8_t>(
-      std::min(255, (kYuvBias + kUB * b - kUR * r - kUG * g + kYuvHalf) >> kYuvShift));
-  *v = static_cast<uint8_t>(
-      std::min(255, (kYuvBias + kVR * r - kVG * g - kVB * b + kYuvHalf) >> kYuvShift));
-}
-
-inline void RgbToYuvRowScalar(const Pixel* rgb, size_t n, uint8_t* y, uint8_t* u,
-                              uint8_t* v) {
-  for (size_t i = 0; i < n; ++i) {
-    RgbToYuvScalarOne(rgb[i], y + i, u + i, v + i);
-  }
-}
-
-}  // namespace
 }  // namespace slim
 
 #endif  // SRC_CODEC_KERNELS_KERNELS_INTERNAL_H_

@@ -1,20 +1,34 @@
-// SSE2 kernel tier — the baseline ISA on x86-64, so this tier is what an old or
-// feature-masked x86 host gets. It accelerates the compare-shaped kernels (color scan,
-// bitmap packing, row diffing), which map cleanly onto 4-lane cmpeq + movemask; the row
-// hash (needs 64-bit multiplies) and the YUV conversion (needs 32-bit mullo, an SSE4.1
-// instruction) stay on the scalar reference, where the compiler already does well.
+// SSE2 kernel tier. SSE2 is part of x86-64, so this table is compiled into every x86-64
+// build with no extra ISA flags and needs no runtime CPU check. The three kernels are
+// compare-shaped and map onto 4-lane cmpeq + movemask.
 //
 // Same contract as every tier: bit-identical to scalar on all inputs.
 
 #include "src/codec/kernels/kernels.h"
 #include "src/codec/kernels/kernels_internal.h"
 
-#if defined(__SSE2__) && (defined(__x86_64__) || defined(__i386__))
+#if defined(__SSE2__)
+
+#include <array>
 
 #include <emmintrin.h>
 
 namespace slim {
 namespace {
+
+// movemask-style instructions put pixel 0 in bit 0, but bitmap rows are packed MSB-first
+// (pixel 0 in bit 7), so the packer runs each 8-pixel mask through this table.
+constexpr std::array<uint8_t, 256> kBitReverse = [] {
+  std::array<uint8_t, 256> table{};
+  for (int i = 0; i < 256; ++i) {
+    uint8_t r = 0;
+    for (int bit = 0; bit < 8; ++bit) {
+      r = static_cast<uint8_t>(r | (((i >> bit) & 1) << (7 - bit)));
+    }
+    table[static_cast<size_t>(i)] = r;
+  }
+  return table;
+}();
 
 // 4-bit mask with bit j set iff pixel j matches either color.
 inline int MatchMask4(const Pixel* p, __m128i c1, __m128i c2) {
@@ -130,19 +144,19 @@ bool RowDiffSpanSse2(const Pixel* a, const Pixel* b, size_t n, int32_t* lo, int3
 }
 
 const KernelOps kSse2Kernels{
-    KernelTier::kSse2,  RowHashScalar,    ScanColorsSse2,
-    PackBitmapRowSse2,  RowDiffSpanSse2,  RgbToYuvRowScalar,
+    KernelTier::kSse2,
+    ScanColorsSse2,
+    PackBitmapRowSse2,
+    RowDiffSpanSse2,
 };
 
 }  // namespace
 
-const KernelOps* GetSse2Kernels() {
-  return __builtin_cpu_supports("sse2") ? &kSse2Kernels : nullptr;
-}
+const KernelOps* GetSse2Kernels() { return &kSse2Kernels; }
 
 }  // namespace slim
 
-#else  // !(__SSE2__ && x86)
+#else  // !__SSE2__
 
 namespace slim {
 const KernelOps* GetSse2Kernels() { return nullptr; }

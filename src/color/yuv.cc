@@ -5,13 +5,38 @@
 #include <cmath>
 #include <cstring>
 
-#include "src/codec/kernels/kernels.h"
-#include "src/codec/kernels/kernels_internal.h"
 #include "src/util/check.h"
 
 namespace slim {
 
 namespace {
+
+// RGB->YUV: BT.601 full-range coefficients scaled by 2^20, rounded half-up. The luma
+// weights sum to exactly 2^20 (white -> 255 exactly) and the chroma weight pairs each sum
+// to exactly 2^19 (gray -> 128 exactly). Y is always in [0, 255]; U/V can reach 256 at the
+// saturated corners (e.g. pure blue: 128 + 0.5*255 = 255.5 rounds up), hence the min.
+constexpr int32_t kYuvShift = 20;
+constexpr int32_t kYuvHalf = 1 << (kYuvShift - 1);
+constexpr int32_t kYuvBias = 128 << kYuvShift;
+constexpr int32_t kYR = 313524, kYG = 615514, kYB = 119538;  // sum == 1 << 20
+constexpr int32_t kUR = 176933, kUG = 347355, kUB = 524288;  // kUR + kUG == kUB
+constexpr int32_t kVR = 524288, kVG = 439026, kVB = 85262;   // kVG + kVB == kVR
+
+// The body of RgbToYuv, kept here so RgbToYuvRow inlines it rather than calling the
+// exported function per pixel. Differs from the old double-based lround formula by at
+// most 1 LSB on ~0.06% of the 2^24 inputs (verified exhaustively).
+inline Yuv FixedPointRgbToYuv(Pixel rgb) {
+  const int32_t r = PixelR(rgb);
+  const int32_t g = PixelG(rgb);
+  const int32_t b = PixelB(rgb);
+  Yuv out;
+  out.y = static_cast<uint8_t>((kYR * r + kYG * g + kYB * b + kYuvHalf) >> kYuvShift);
+  out.u = static_cast<uint8_t>(
+      std::min(255, (kYuvBias + kUB * b - kUR * r - kUG * g + kYuvHalf) >> kYuvShift));
+  out.v = static_cast<uint8_t>(
+      std::min(255, (kYuvBias + kVR * r - kVG * g - kVB * b + kYuvHalf) >> kYuvShift));
+  return out;
+}
 
 uint8_t ClampByte(int v) { return static_cast<uint8_t>(std::clamp(v, 0, 255)); }
 
@@ -233,15 +258,15 @@ std::vector<Tap> Taps(int32_t src, int32_t dst) {
 
 }  // namespace
 
-Yuv RgbToYuv(Pixel rgb) {
-  // Fixed-point BT.601 (20-bit coefficients, round-half-up) shared with the SIMD kernel
-  // layer — the single-pixel and bulk conversions must agree bit-for-bit, and integer
-  // arithmetic is what makes the per-tier vector implementations exactly reproducible.
-  // Differs from the old double-based lround formula by at most 1 LSB on ~0.06% of the
-  // 2^24 inputs (verified exhaustively).
-  Yuv out;
-  RgbToYuvScalarOne(rgb, &out.y, &out.u, &out.v);
-  return out;
+Yuv RgbToYuv(Pixel rgb) { return FixedPointRgbToYuv(rgb); }
+
+void RgbToYuvRow(const Pixel* rgb, size_t n, uint8_t* y, uint8_t* u, uint8_t* v) {
+  for (size_t i = 0; i < n; ++i) {
+    const Yuv yuv = FixedPointRgbToYuv(rgb[i]);
+    y[i] = yuv.y;
+    u[i] = yuv.u;
+    v[i] = yuv.v;
+  }
 }
 
 Pixel YuvToRgb(Yuv yuv) { return Tables().Convert(yuv.y, yuv.u, yuv.v); }
@@ -273,15 +298,12 @@ void YuvImage::Set(int32_t x, int32_t y, Yuv value) {
 YuvImage YuvImage::FromPixels(std::span<const Pixel> rgb, int32_t w, int32_t h) {
   SLIM_CHECK(rgb.size() >= static_cast<size_t>(w) * h);
   YuvImage image(w, h);
-  // Row-span conversion straight into the planes through the dispatched kernel — no
-  // per-pixel bounds-checked Set() calls; this loop is the whole CSCS encode cost for
-  // video frames, so it gets the vector tier when the CPU has one.
-  const KernelOps& kernels = Kernels();
+  // Row-span conversion straight into the planes, with no per-pixel bounds-checked
+  // Set() calls.
   for (int32_t y = 0; y < h; ++y) {
     const size_t row = static_cast<size_t>(y) * w;
-    kernels.rgb_to_yuv_row(rgb.data() + row, static_cast<size_t>(w),
-                           image.y_.data() + row, image.u_.data() + row,
-                           image.v_.data() + row);
+    RgbToYuvRow(rgb.data() + row, static_cast<size_t>(w), image.y_.data() + row,
+                image.u_.data() + row, image.v_.data() + row);
   }
   return image;
 }

@@ -15,9 +15,8 @@
 //
 // Quantized components store the top bits of the 8-bit value and are expanded by bit
 // replication on decode. RGB->YUV uses BT.601 studio-swing-free ("full range") constants
-// in 20-bit fixed point shared with the SIMD kernel layer (src/codec/kernels/), so the
-// conversion is bit-identical across kernel tiers and between the single-pixel and bulk
-// (FromPixels) paths.
+// in 20-bit fixed point; the single-pixel and bulk (FromPixels) paths share that one
+// definition.
 
 #ifndef SRC_COLOR_YUV_H_
 #define SRC_COLOR_YUV_H_
@@ -38,6 +37,9 @@ struct Yuv {
 };
 
 Yuv RgbToYuv(Pixel rgb);
+
+// RgbToYuv over n pixels, writing the three planes (FromPixels' row loop).
+void RgbToYuvRow(const Pixel* rgb, size_t n, uint8_t* y, uint8_t* u, uint8_t* v);
 
 // The console's conversion back to RGB: per channel, ClampByte(lround(y + k * (c - 128)))
 // evaluated in double (R: 1.402 v; G: -0.344136 u - 0.714136 v; B: 1.772 u). Served from

@@ -12,9 +12,9 @@
 // pull-mode callbacks, also evaluated only at snapshot time. Histograms bucket by
 // power-of-two, so a Record() is a clz plus two adds. Nothing locks: every registered cell
 // is written only from the thread that owns its subsystem (the simulation thread). Code
-// that fans work out to real threads — the band-parallel encoder in src/codec/parallel.h —
-// must accumulate into worker-local scratch and merge on the owning thread before the
-// result reaches a registered cell; snapshots then never race with writes.
+// that ever fans work out to other threads must accumulate into worker-local scratch and
+// merge on the owning thread before the result reaches a registered cell, so snapshots
+// never race with writes.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_

@@ -13,13 +13,19 @@
 
 namespace slim {
 
+namespace {
+
+// Largest |dy| the damage tracker's scroll salvage searches when a large damage block
+// might be the shadow frame shifted vertically (hint-less scrolls arriving as full
+// repaints).
+constexpr int32_t kScrollMaxShift = 64;
+
+}  // namespace
+
 ServerSession::ServerSession(SlimServer* server, uint32_t id, int32_t width, int32_t height,
                              EncoderOptions encoder_options)
     : server_(server), id_(id), fb_(width, height), encoder_(encoder_options) {
   SLIM_CHECK(server != nullptr);
-  if (encoder_options.threads > 1) {
-    pool_ = std::make_unique<EncoderPool>(encoder_options);
-  }
   if (encoder_options.damage_tracker) {
     tracker_ = std::make_unique<DamageTracker>(width, height);
   }
@@ -437,17 +443,14 @@ void ServerSession::EncodeDamageToPending() {
     // large vertical scrolls as COPY commands. The scroll COPYs must precede the commands
     // encoded from the refined residual, which diffs against the post-copy display state.
     std::vector<DisplayCommand> scroll_cmds;
-    refined = tracker_->Refine(fb_, damage_, encoder_.options().scroll_max_shift,
-                               &scroll_cmds);
+    refined = tracker_->Refine(fb_, damage_, kScrollMaxShift, &scroll_cmds);
     for (auto& cmd : scroll_cmds) {
       QueueCommand(std::move(cmd));
     }
     to_encode = &refined;
   }
   if (!to_encode->empty()) {
-    std::vector<DisplayCommand> cmds = pool_ != nullptr
-                                           ? pool_->EncodeDamage(fb_, *to_encode)
-                                           : encoder_.EncodeDamage(fb_, *to_encode);
+    std::vector<DisplayCommand> cmds = encoder_.EncodeDamage(fb_, *to_encode);
     int64_t pixels = 0;
     for (auto& cmd : cmds) {
       pixels += AffectedPixels(cmd);

@@ -10,16 +10,14 @@
 #define SRC_SERVER_SESSION_H_
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "src/codec/damage_tracker.h"
 #include "src/codec/encoder.h"
-#include "src/codec/parallel.h"
 #include "src/fb/framebuffer.h"
 #include "src/net/fabric.h"
 #include "src/protocol/messages.h"
@@ -144,9 +142,6 @@ class ServerSession {
   // indexed by CommandType (slot 0 unused) — the same shape Encoder::Accumulate produces.
   const EncodeStats* encode_stats() const { return encode_stats_; }
 
-  // Worker threads used for damage encoding (1 = serial on the session's thread).
-  int encode_threads() const { return pool_ != nullptr ? pool_->threads() : 1; }
-
   // Registers the session's counters, CPU-time gauges and per-command-type encoder
   // counters (`<prefix>.codec.<type>.*`) with `registry`. Returns false if any name was
   // rejected (duplicate prefix).
@@ -191,13 +186,7 @@ class ServerSession {
   uint32_t id_;
   Framebuffer fb_;
   Encoder encoder_;
-  // Present when encoder options ask for threads > 1. Encoding fans out to the pool's
-  // workers, but every stats cell the MetricRegistry can see (encode_stats_, the time and
-  // byte counters) is still written only from this session's owning thread: the pool merges
-  // worker-local scratch before EncodeDamage returns.
-  std::unique_ptr<EncoderPool> pool_;
-  // Shadow-frame damage refinement (src/codec/damage_tracker.h); null when disabled. Owned
-  // and touched only by the session's thread — refinement happens before any pool fan-out.
+  // Shadow-frame damage refinement (src/codec/damage_tracker.h); null when disabled.
   std::unique_ptr<DamageTracker> tracker_;
   ProtocolLog log_;
   Region damage_;

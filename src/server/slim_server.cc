@@ -4,7 +4,6 @@
 
 #include "src/codec/damage_tracker.h"
 #include "src/codec/kernels/kernels.h"
-#include "src/codec/parallel.h"
 #include "src/obs/latency_audit.h"
 #include "src/obs/metrics.h"
 #include "src/server/checkpoint.h"
@@ -84,7 +83,6 @@ int RemoteDeviceManager::total_devices() const {
 SlimServer::SlimServer(Simulator* sim, Fabric* fabric, ServerOptions options)
     : sim_(sim), options_(options), auth_(0x51e7e5c4e7u) {
   SLIM_CHECK(sim != nullptr && fabric != nullptr);
-  options_.encoder.threads = EncodeThreadsFromEnv(options_.encoder.threads);
   options_.encoder.damage_tracker = DamageTrackerFromEnv(options_.encoder.damage_tracker);
   endpoint_ = std::make_unique<SlimEndpoint>(fabric, fabric->AddNode());
   endpoint_->set_handler([this](const Message& msg, NodeId from) { OnMessage(msg, from); });
@@ -255,9 +253,9 @@ void SlimServer::ResetSessionPacing(uint32_t session_id) {
 bool SlimServer::RegisterMetrics(MetricRegistry* registry, const std::string& prefix) {
   SLIM_CHECK(registry != nullptr);
   bool ok = auth_.RegisterMetrics(registry, prefix + ".auth");
-  // Which SIMD kernel tier the encode path resolved at startup (KernelTier numeric
-  // value: 0=scalar 1=sse2 2=avx2 3=neon). A gauge so dashboards snapshotting a server
-  // can tell whether its pixel loops are running vectorized without shell access.
+  // Which kernel tier the encode path resolved at startup (KernelTier numeric value:
+  // 0=scalar 1=sse2). A gauge so dashboards snapshotting a server can tell whether its
+  // pixel loops are running vectorized without shell access.
   ok = registry->BindGauge("codec.kernels.tier",
                            [] { return static_cast<double>(Kernels().tier); }) &&
        ok;

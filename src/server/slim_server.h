@@ -113,9 +113,9 @@ struct PacingStats {
 struct ServerOptions {
   int32_t session_width = 1280;
   int32_t session_height = 1024;
-  // encoder.threads is overridden by SLIM_ENCODE_THREADS when that env var is set (applied
-  // in the SlimServer constructor), so benches and CI can fan encoding out without
-  // plumbing a flag through every harness.
+  // encoder.damage_tracker is overridden by SLIM_DAMAGE_TRACKER when that env var is set
+  // (applied in the SlimServer constructor), so harnesses can ablate refinement without
+  // plumbing a flag through every one of them.
   EncoderOptions encoder;
   ServerCpuModel cpu;
   // When true, Flush() defers transmission by the simulated render/encode/wire CPU time on

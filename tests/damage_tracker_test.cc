@@ -4,10 +4,9 @@
 //   (b) applying the scroll-salvage COPYs plus the commands encoded from the refined
 //       region to a replica of the previous frame reproduces the new frame bit-exactly,
 //   (c) the hash-indexed scroll detector agrees with the probe-based reference detector
-//       on randomized scroll / noise / ambiguous inputs,
+//       (tests/scroll_probe_reference.h) on randomized scroll / noise / ambiguous inputs,
 // plus the session-level contracts: a RepaintAll of an unchanged frame transmits nothing,
-// and a tracker-enabled session transmits an identical stream for every encode thread
-// count (the EncoderPool determinism contract survives refinement).
+// and a tracker-enabled session salvages hint-less scrolls as COPYs and converges.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +23,7 @@
 #include "src/server/slim_server.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
+#include "tests/scroll_probe_reference.h"
 
 namespace slim {
 namespace {
@@ -234,7 +234,8 @@ TEST_P(RefineProperty, HashScrollDetectorAgreesWithProbeReference) {
   for (const Rect& rect : rects) {
     for (const int32_t max_shift : shifts) {
       const int32_t hash_dy = DetectVerticalScroll(before, after, rect, max_shift);
-      const int32_t probe_dy = DetectVerticalScrollProbe(before, after, rect, max_shift);
+      const int32_t probe_dy =
+          reference::DetectVerticalScrollProbe(before, after, rect, max_shift);
       ASSERT_EQ(hash_dy, probe_dy)
           << "scenario=" << scenario << " true_dy=" << true_dy << " noise=" << noise
           << " rect=" << rect.ToString() << " max_shift=" << max_shift;
@@ -281,7 +282,6 @@ TEST(DamageTrackerTest, EnvOverrideParsesLikeTheOtherKnobs) {
 struct SessionRun {
   uint64_t console_hash = 0;
   uint64_t server_hash = 0;
-  int64_t commands = 0;
   int64_t bytes = 0;
   EncodeStats stats[6] = {};
 };
@@ -290,13 +290,12 @@ struct SessionRun {
 // PutImage'd (over-broad damage), with the content scrolled up by one 12-row text line
 // and a fresh line painted at the bottom — exactly the shape the scroll salvage exists
 // for. Returns the transmitted-stream fingerprint.
-SessionRun RunScrollWorkload(int threads, bool tracker) {
+SessionRun RunScrollWorkload(bool tracker) {
   Simulator sim;
   Fabric fabric(&sim, {});
   ServerOptions options;
   options.session_width = 320;
   options.session_height = 240;
-  options.encoder.threads = threads;
   options.encoder.damage_tracker = tracker;
   SlimServer server(&sim, &fabric, options);
   ConsoleOptions copts;
@@ -337,7 +336,6 @@ SessionRun RunScrollWorkload(int threads, bool tracker) {
   SessionRun run;
   run.console_hash = console.framebuffer().ContentHash();
   run.server_hash = session.framebuffer().ContentHash();
-  run.commands = session.commands_sent();
   run.bytes = session.bytes_sent();
   std::copy(session.encode_stats(), session.encode_stats() + 6, run.stats);
   return run;
@@ -382,32 +380,20 @@ TEST(DamageTrackerSessionTest, RepaintAllOfUnchangedFrameTransmitsNothing) {
   EXPECT_EQ(console.framebuffer().ContentHash(), session.framebuffer().ContentHash());
 }
 
-// Tracker + EncoderPool: the transmitted stream must stay identical for every thread
-// count (refinement runs before the pool fan-out and is deterministic), and the salvage
-// must actually fire on the scroll workload — COPY commands on the wire despite the
-// workload never calling CopyArea.
-TEST(DamageTrackerSessionTest, ScrollWorkloadStreamsAgreeAcrossThreadCounts) {
-  const SessionRun serial = RunScrollWorkload(/*threads=*/1, /*tracker=*/true);
-  EXPECT_EQ(serial.console_hash, serial.server_hash);
-  EXPECT_GT(serial.stats[static_cast<size_t>(CommandType::kCopy)].commands, 0)
+// The salvage must actually fire on the scroll workload — COPY commands on the wire
+// despite the workload never calling CopyArea — and the console must converge.
+TEST(DamageTrackerSessionTest, ScrollWorkloadSalvagesScrollsAndConverges) {
+  const SessionRun run = RunScrollWorkload(/*tracker=*/true);
+  EXPECT_EQ(run.console_hash, run.server_hash);
+  EXPECT_GT(run.stats[static_cast<size_t>(CommandType::kCopy)].commands, 0)
       << "scroll salvage never fired on a pure scroll workload";
-  for (const int threads : {2, 4, 8}) {
-    const SessionRun threaded = RunScrollWorkload(threads, /*tracker=*/true);
-    EXPECT_EQ(threaded.console_hash, serial.console_hash) << "threads=" << threads;
-    EXPECT_EQ(threaded.commands, serial.commands) << "threads=" << threads;
-    EXPECT_EQ(threaded.bytes, serial.bytes) << "threads=" << threads;
-    for (int t = 0; t < 6; ++t) {
-      EXPECT_EQ(threaded.stats[t], serial.stats[t])
-          << "threads=" << threads << " type " << t;
-    }
-  }
 }
 
 // Ablation correctness: with the tracker off the stream is bigger but the console must
 // converge to the same pixels.
 TEST(DamageTrackerSessionTest, TrackerOffProducesSamePixelsWithMoreBytes) {
-  const SessionRun on = RunScrollWorkload(/*threads=*/1, /*tracker=*/true);
-  const SessionRun off = RunScrollWorkload(/*threads=*/1, /*tracker=*/false);
+  const SessionRun on = RunScrollWorkload(/*tracker=*/true);
+  const SessionRun off = RunScrollWorkload(/*tracker=*/false);
   EXPECT_EQ(on.console_hash, off.console_hash);
   EXPECT_LT(on.bytes, off.bytes)
       << "refinement + salvage should shrink the scroll workload's wire traffic";

@@ -1,8 +1,6 @@
 // LatencyAudit tests: stage decomposition and SLO attribution at the unit level, flight
 // dumps on breach, and a full server<->console session whose every keystroke must appear
-// in the session.latency.* histograms. The latency_audit_test_4threads ctest entry re-runs
-// this binary with SLIM_ENCODE_THREADS=4, proving the audit's single-writer rule holds
-// when the band-parallel encoder pool is live (all stamps stay on the sim thread).
+// in the session.latency.* histograms.
 
 #include "src/obs/latency_audit.h"
 
@@ -222,8 +220,7 @@ TEST(LatencyAuditTest, BreachDumpsFlightRecorderAsValidTrace) {
 
 TEST(LatencyAuditTest, FullSessionAuditsEveryKeystroke) {
   // End-to-end over a healthy fabric: every input event must complete through the real
-  // dispatch -> txq -> transport -> console pipeline and land in the histograms. Under the
-  // latency_audit_test_4threads canary this runs with the band-parallel encoder pool on.
+  // dispatch -> txq -> transport -> console pipeline and land in the histograms.
   Simulator sim;
   Fabric fabric(&sim, {});
   SlimServer server(&sim, &fabric, {});

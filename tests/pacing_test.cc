@@ -1,10 +1,7 @@
 // Pacing tests: grant-enforced token buckets in the TransmitQueue (GCRA departures,
 // per-flow FIFO floors, purge/depth hygiene), the server<->console bandwidth-grant loop,
 // and the session's backpressure adaptation — newest-frame-wins video staging and
-// damage-coalescing flush deferral, which must be bit-exact once the queue drains. The
-// pacing_test_4threads ctest entry re-runs this binary with SLIM_ENCODE_THREADS=4 so the
-// tsan preset proves the pacing state stays on the simulation thread when the encoder
-// pool is live.
+// damage-coalescing flush deferral, which must be bit-exact once the queue drains.
 
 #include <gtest/gtest.h>
 
