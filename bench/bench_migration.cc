@@ -178,12 +178,13 @@ FailoverNumbers MeasureFailover(const Scale& scale, double loss) {
   FailoverNumbers sum;
   for (int rep = 0; rep < scale.reps; ++rep) {
     World world(scale);
-    // Standby ticks sized to the blob's paced transfer time, as an operator would.
-    const int64_t blob_bytes =
+    // Standby ticks sized to two framebuffers' paced transfer time: one blob (about one
+    // framebuffer) plus as much again of headroom for a lossy round to finish draining.
+    const int64_t tick_bytes =
         2LL * scale.width * scale.height * static_cast<int64_t>(sizeof(Pixel));
     const SimDuration interval =
         Milliseconds(200) +
-        static_cast<SimDuration>(static_cast<double>(blob_bytes) * 8.0 /
+        static_cast<SimDuration>(static_cast<double>(tick_bytes) * 8.0 /
                                  MigrationOptions{}.rate_bps * kSecond);
     world.manager_a->EnableStandby(world.server_b.get(), interval);
     const uint64_t hash = world.Populate(rep);
@@ -242,8 +243,8 @@ int main() {
     const std::vector<uint8_t> blob = EncodeCheckpoint(ckpt);
     const double blob_bytes = static_cast<double>(blob.size());
     const double fb_bytes = static_cast<double>(ckpt.fb_bytes());
-    std::printf("  checkpoint blob %.0f bytes for a %.0f-byte framebuffer (%.2fx: "
-                "shadow frame rides along)\n",
+    std::printf("  checkpoint blob %.0f bytes for a %.0f-byte framebuffer (%.4fx: "
+                "pixels plus counters)\n",
                 blob_bytes, fb_bytes, blob_bytes / fb_bytes);
     report.Metric("checkpoint.blob_bytes", blob_bytes, "bytes");
     report.Metric("checkpoint.fb_bytes", fb_bytes, "bytes");

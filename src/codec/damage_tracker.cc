@@ -69,20 +69,6 @@ void DamageTracker::CopySpans(const Framebuffer& fb, int32_t y0, int32_t y1, int
   }
 }
 
-void DamageTracker::RestoreShadow(std::span<const Pixel> pixels,
-                                  std::span<const uint64_t> hashes, bool valid) {
-  SLIM_CHECK(pixels.size() == shadow_.data().size());
-  SLIM_CHECK(hashes.size() == row_hashes_.size());
-  const int32_t width = shadow_.width();
-  for (int32_t y = 0; y < shadow_.height(); ++y) {
-    std::memcpy(shadow_.MutableRow(y, 0, width).data(),
-                pixels.data() + static_cast<size_t>(y) * width,
-                static_cast<size_t>(width) * sizeof(Pixel));
-  }
-  std::copy(hashes.begin(), hashes.end(), row_hashes_.begin());
-  valid_ = valid;
-}
-
 void DamageTracker::SyncRect(const Framebuffer& fb, const Rect& rect) {
   SLIM_DCHECK(fb.width() == shadow_.width() && fb.height() == shadow_.height());
   const Rect r = Intersect(rect, shadow_.bounds());

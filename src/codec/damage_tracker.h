@@ -30,7 +30,6 @@
 #define SRC_CODEC_DAMAGE_TRACKER_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/fb/framebuffer.h"
@@ -77,17 +76,8 @@ class DamageTracker {
   // would suppress the retransmission the caller is asking for.
   void Invalidate() { valid_ = false; }
 
-  // Overwrites the shadow frame, its row hashes and the validity bit wholesale. This is
-  // the checkpoint-restore path (src/server/checkpoint.cc): a migrated session must come
-  // back with the exact shadow its source held, or the first post-migration Refine would
-  // diff against the wrong "last transmitted" frame. `pixels` must hold width*height
-  // entries and `hashes` height entries (checked).
-  void RestoreShadow(std::span<const Pixel> pixels, std::span<const uint64_t> hashes,
-                     bool valid);
-
   bool valid() const { return valid_; }
   const Framebuffer& shadow() const { return shadow_; }
-  uint64_t row_hash(int32_t y) const { return row_hashes_[static_cast<size_t>(y)]; }
 
  private:
   // Recomputes row_hashes_[y] from the shadow's current contents.

@@ -11,8 +11,7 @@
 // function (shadow row hashes vs current-frame row hashes, before vs after scroll rows),
 // so the exact constants only need to mix well — but producers and consumers must agree
 // on this one definition, which is why it lives in a shared header. The output is pinned
-// by bench_kernels' parity.row_hash.checksum, so hashes stored in a checkpoint compare
-// equal after a restore on any machine.
+// by bench_kernels' parity.row_hash.checksum.
 
 #ifndef SRC_CODEC_ROW_HASH_H_
 #define SRC_CODEC_ROW_HASH_H_

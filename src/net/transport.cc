@@ -70,8 +70,6 @@ bool SlimEndpoint::RegisterMetrics(MetricRegistry* registry, const std::string& 
   bind("datagrams_corrupted", &stats_.datagrams_corrupted);
   bind("reassembly_timeouts", &stats_.reassembly_timeouts);
   bind("nack_backoffs", &stats_.nack_backoffs);
-  bind("seq_syncs_sent", &stats_.seq_syncs_sent);
-  bind("seq_syncs_received", &stats_.seq_syncs_received);
   return ok;
 }
 
@@ -112,10 +110,9 @@ uint64_t SlimEndpoint::Send(NodeId peer, uint32_t session_id, MessageBody body) 
   }
   Message msg;
   msg.session_id = session_id;
-  // NACKs and seq-sync notices are control traffic: unsequenced (seq 0), never replayed,
-  // never batched — they must not themselves enter the loss-tracking they exist to serve.
-  const bool is_nack = std::holds_alternative<NackMsg>(body) ||
-                       std::holds_alternative<SeqSyncMsg>(body);
+  // NACKs are control traffic: unsequenced (seq 0), never replayed, never batched — they
+  // must not themselves enter the loss-tracking they exist to serve.
+  const bool is_nack = std::holds_alternative<NackMsg>(body);
   msg.seq = is_nack ? 0 : ++next_seq_[peer];
   msg.body = std::move(body);
   const std::vector<uint8_t> bytes = SerializeMessage(msg);
@@ -404,10 +401,6 @@ void SlimEndpoint::DeliverMessage(std::vector<uint8_t> bytes, NodeId from) {
     HandleNack(std::get<NackMsg>(msg->body), from);
     return;
   }
-  if (std::holds_alternative<SeqSyncMsg>(msg->body)) {
-    HandleSeqSync(std::get<SeqSyncMsg>(msg->body), from);
-    return;
-  }
   if (msg->seq != 0) {
     DedupWindow& dedup = recent_delivered_[from];
     // At or below the floor means the seq was already delivered and then aged out of the
@@ -546,22 +539,6 @@ void SlimEndpoint::ArmNackRetry(NodeId peer, PeerRecvState& state) {
   });
 }
 
-void SlimEndpoint::EnsureSendSeqAtLeast(NodeId peer, uint64_t floor) {
-  uint64_t& next = next_seq_[peer];
-  if (next >= floor) {
-    return;
-  }
-  const SeqSkip skip{next + 1, floor + 1};
-  next = floor;
-  std::vector<SeqSkip>& skips = seq_skips_[peer];
-  skips.push_back(skip);
-  if (skips.size() > 16) {  // ancient jumps have long since synced; bound the state
-    skips.erase(skips.begin());
-  }
-  ++stats_.seq_syncs_sent;
-  Send(peer, 0, SeqSyncMsg{skip.first_skipped, skip.first_valid});
-}
-
 void SlimEndpoint::HandleNack(const NackMsg& nack, NodeId from) {
   int64_t replayed = 0;
   if (const auto hist = history_.find(from); hist != history_.end()) {
@@ -573,40 +550,12 @@ void SlimEndpoint::HandleNack(const NackMsg& nack, NodeId from) {
       }
     }
   }
-  // The peer is asking for seqs inside a skipped range: the sync notice that would have
-  // told it those seqs never existed was lost. Re-send it — this, not replay, is what
-  // resolves that part of the gap.
-  if (const auto it = seq_skips_.find(from); it != seq_skips_.end()) {
-    for (const SeqSkip& skip : it->second) {
-      if (nack.first_seq < skip.first_valid && nack.last_seq >= skip.first_skipped) {
-        ++stats_.seq_syncs_sent;
-        Send(from, 0, SeqSyncMsg{skip.first_skipped, skip.first_valid});
-      }
-    }
-  }
   if (Tracer* tracer = Tracer::Global()) {
     tracer->Instant(fabric_->simulator()->now(), "transport.replay", "transport",
                     kTraceTidTransportBase + static_cast<int>(self_),
                     {{"first", JsonValue(static_cast<int64_t>(nack.first_seq))},
                      {"last", JsonValue(static_cast<int64_t>(nack.last_seq))},
                      {"replayed", JsonValue(replayed)}});
-  }
-}
-
-void SlimEndpoint::HandleSeqSync(const SeqSyncMsg& sync, NodeId from) {
-  ++stats_.seq_syncs_received;
-  PeerRecvState& state = recv_state_[from];
-  // Seqs in [first_skipped, first_valid) were never sent: they are not losses. Anything
-  // older stays in the missing set — those were real sends and remain NACKable.
-  for (auto it = state.missing.lower_bound(sync.first_skipped_seq);
-       it != state.missing.end() && *it < sync.first_valid_seq;) {
-    ResolveMissing(state, *it, "seq_sync");
-    it = state.missing.erase(it);
-  }
-  // Advance the high-water mark over the skipped range so a delivery of first_valid (or
-  // later) does not re-book the range as missing all over again.
-  if (sync.first_valid_seq > 0) {
-    state.max_seq = std::max(state.max_seq, sync.first_valid_seq - 1);
   }
 }
 

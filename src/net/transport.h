@@ -52,10 +52,6 @@ struct TransportStats {
   // Times the NACK gate widened because a re-NACK for the same missing range was needed
   // (the previous NACK or its replay was itself lost).
   int64_t nack_backoffs = 0;
-  // Seq-sync notices (a migrated session raised the send-seq floor): copies sent — the
-  // jump itself plus every NACK that asked for never-emitted seqs — and copies received.
-  int64_t seq_syncs_sent = 0;
-  int64_t seq_syncs_received = 0;
 };
 
 // The stats one SlimEndpoint exposes; alias kept distinct from the struct name so call
@@ -106,23 +102,6 @@ class SlimEndpoint {
 
   const TransportStats& stats() const { return stats_; }
 
-  // The per-peer send sequence counter's current value (the seq of the last sequenced
-  // message sent toward `peer`; 0 when nothing has been sent). Checkpoints capture this
-  // as the session's seq watermark.
-  uint64_t send_seq(NodeId peer) const {
-    const auto it = next_seq_.find(peer);
-    return it == next_seq_.end() ? 0 : it->second;
-  }
-
-  // Raises the next send seq toward `peer` to at least `floor`. The migration path calls
-  // this after restoring a session whose source had already used seqs up to the
-  // checkpoint's watermark toward the same console, keeping the session's seq story
-  // monotonic across servers. The skipped range [old next + 1, floor] was never put on
-  // the wire, so the peer is told via SeqSyncMsg — otherwise its gap tracker would book
-  // every skipped seq as a loss and burn the NACK budget (and its give-up strikes) on
-  // messages that cannot be replayed, starving repair of real gaps alongside them.
-  void EnsureSendSeqAtLeast(NodeId peer, uint64_t floor);
-
   // Crash-failover fault injection: a dead endpoint drops every outbound send and ignores
   // every inbound datagram, exactly as a powered-off server would. ServerPool::KillServer
   // sets this; nothing un-sets it (a SLIM server does not reboot mid-run).
@@ -147,7 +126,6 @@ class SlimEndpoint {
   void DeliverMessage(std::vector<uint8_t> bytes, NodeId from);
   void SendSerialized(NodeId peer, uint64_t msg_seq, const std::vector<uint8_t>& bytes);
   void HandleNack(const NackMsg& nack, NodeId from);
-  void HandleSeqSync(const SeqSyncMsg& sync, NodeId from);
 
   // --- Reassembly-context hygiene ---
   // Evicts the context with the oldest last_update when reasm_ exceeds max_reassembly.
@@ -220,15 +198,6 @@ class SlimEndpoint {
   // Schedules a MaybeSendNack retry for when the back-off gate reopens (single pending
   // event per peer), so a lost NACK/replay is retried even with no further inbound traffic.
   void ArmNackRetry(NodeId peer, PeerRecvState& state);
-
-  // Seq ranges toward a peer that were skipped by EnsureSendSeqAtLeast (never emitted).
-  // A SeqSyncMsg for each is sent at jump time and replayed whenever a NACK asks for
-  // seqs inside one — the notice itself is unsequenced, so this is its loss recovery.
-  struct SeqSkip {
-    uint64_t first_skipped = 0;  // first seq never emitted
-    uint64_t first_valid = 0;    // next seq that really goes on the wire
-  };
-  std::map<NodeId, std::vector<SeqSkip>> seq_skips_;
 
   std::map<NodeId, uint64_t> next_seq_;  // per-peer send sequence
   std::map<NodeId, PeerRecvState> recv_state_;

@@ -105,9 +105,6 @@ void WriteBody(ByteWriter& w, const MessageBody& body) {
         } else if constexpr (std::is_same_v<T, MigrateAbortMsg>) {
           w.U64(b.epoch);
           w.U8(static_cast<uint8_t>(b.reason));
-        } else if constexpr (std::is_same_v<T, SeqSyncMsg>) {
-          w.U64(b.first_skipped_seq);
-          w.U64(b.first_valid_seq);
         }
       },
       body);
@@ -340,15 +337,6 @@ std::optional<MessageBody> ReadBody(MessageType type, ByteReader& r, size_t payl
       }
       return MessageBody(m);
     }
-    case MessageType::kSeqSync: {
-      SeqSyncMsg m;
-      m.first_skipped_seq = r.U64();
-      m.first_valid_seq = r.U64();
-      if (m.first_valid_seq < m.first_skipped_seq) {
-        return std::nullopt;
-      }
-      return MessageBody(m);
-    }
   }
   return std::nullopt;
 }
@@ -399,11 +387,9 @@ MessageType TypeOfBody(const MessageBody& body) {
           return MessageType::kMigrateBegin;
         } else if constexpr (std::is_same_v<T, MigrateCommitMsg>) {
           return MessageType::kMigrateCommit;
-        } else if constexpr (std::is_same_v<T, MigrateAbortMsg>) {
-          return MessageType::kMigrateAbort;
         } else {
-          static_assert(std::is_same_v<T, SeqSyncMsg>);
-          return MessageType::kSeqSync;
+          static_assert(std::is_same_v<T, MigrateAbortMsg>);
+          return MessageType::kMigrateAbort;
         }
       },
       body);

@@ -44,7 +44,6 @@ enum class MessageType : uint8_t {
   kMigrateBegin = 38,     // source -> destination: a checkpoint transfer is starting
   kMigrateCommit = 39,    // two-phase commit handshake (phase 1 dest->src, phase 2 src->dest)
   kMigrateAbort = 40,     // either side: this migration epoch is dead
-  kSeqSync = 41,          // sender's sequence stream jumped; seqs below the floor never existed
 };
 
 // Why a session's console binding ended; carried on SessionReleaseMsg so consoles and
@@ -203,31 +202,16 @@ struct MigrateAbortMsg {
   bool operator==(const MigrateAbortMsg&) const = default;
 };
 
-// Unsequenced (seq 0), either direction: the sender's sequence stream toward this peer
-// jumped forward — a migrated session raised the send-seq floor past numbers that were
-// never put on the wire (EnsureSendSeqAtLeast). Without this notice the receiver would
-// book every skipped seq as a loss and burn its NACK budget on messages that cannot be
-// replayed, starving repair of the real gaps. On receipt, seqs below `first_valid_seq`
-// stop being treated as missing. Replayed on demand: a NACK asking for sub-floor seqs
-// provokes a fresh copy, so losing the notice itself is harmless.
-// The bounds are exact so pre-jump losses stay repairable: only [first_skipped_seq,
-// first_valid_seq) is excused; anything older was really sent and can still be NACKed.
-struct SeqSyncMsg {
-  uint64_t first_skipped_seq = 0;  // first seq that was never emitted
-  uint64_t first_valid_seq = 0;    // next seq that will actually appear on the wire
-  bool operator==(const SeqSyncMsg&) const = default;
-};
-
 using MessageBody =
     std::variant<SetCommand, BitmapCommand, FillCommand, CopyCommand, CscsCommand, KeyEventMsg,
                  MouseEventMsg, StatusMsg, NackMsg, SessionAttachMsg, SessionDetachMsg,
                  BandwidthRequestMsg, BandwidthGrantMsg, AudioMsg, PingMsg, PongMsg,
                  SessionReleaseMsg, CheckpointChunkMsg, MigrateBeginMsg, MigrateCommitMsg,
-                 MigrateAbortMsg, SeqSyncMsg>;
+                 MigrateAbortMsg>;
 
 struct Message {
   uint32_t session_id = 0;
-  uint64_t seq = 0;  // unique, monotonically increasing per session and direction
+  uint64_t seq = 0;  // unique, monotonically increasing per peer and direction
   MessageBody body;
 };
 

@@ -1,8 +1,5 @@
 #include "src/server/checkpoint.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "src/codec/damage_tracker.h"
 #include "src/protocol/wire.h"
 #include "src/server/session.h"
@@ -12,11 +9,9 @@ namespace slim {
 
 namespace {
 
-// Hard ceilings the decoder enforces so a corrupt length field cannot request an absurd
-// allocation: the largest session geometry anyone simulates is well under 16k x 16k, and
-// pending damage is Coalesce()-bounded long before it reaches hundreds of rects.
+// Hard ceiling the decoder enforces so a corrupt geometry field cannot request an absurd
+// allocation: the largest session geometry anyone simulates is well under 16k x 16k.
 constexpr int32_t kMaxDimension = 16384;
-constexpr uint32_t kMaxDamageRects = 1u << 16;
 
 void WritePixels(ByteWriter& w, std::span<const Pixel> pixels) {
   for (const Pixel p : pixels) {
@@ -38,29 +33,9 @@ std::vector<uint8_t> EncodeCheckpoint(const SessionCheckpoint& ckpt) {
   ByteWriter body;
   body.U32(ckpt.origin_session);
   body.U64(ckpt.card_id);
-  body.U8(ckpt.lifecycle_state);
-  body.U64(ckpt.console_send_seq);
   body.I32(ckpt.width);
   body.I32(ckpt.height);
   WritePixels(body, ckpt.fb_pixels);
-  body.U8(ckpt.tracker_present ? 1 : 0);
-  if (ckpt.tracker_present) {
-    body.U8(ckpt.tracker_valid ? 1 : 0);
-    for (const uint64_t h : ckpt.shadow_row_hashes) {
-      body.U64(h);
-    }
-    WritePixels(body, ckpt.shadow_pixels);
-  }
-  body.U32(static_cast<uint32_t>(ckpt.damage.size()));
-  for (const Rect& rect : ckpt.damage) {
-    body.I32(rect.x);
-    body.I32(rect.y);
-    body.I32(rect.w);
-    body.I32(rect.h);
-  }
-  body.I64(ckpt.interactive_grant_bps);
-  body.I64(ckpt.video_grant_bps);
-  body.I64(ckpt.link_total_bps);
   body.I64(ckpt.video_deferred);
   body.I64(ckpt.video_dropped);
   body.I64(ckpt.coalesced_flushes);
@@ -102,12 +77,10 @@ std::optional<SessionCheckpoint> DecodeCheckpoint(std::span<const uint8_t> blob)
   SessionCheckpoint ckpt;
   ckpt.origin_session = r.U32();
   ckpt.card_id = r.U64();
-  ckpt.lifecycle_state = r.U8();
-  ckpt.console_send_seq = r.U64();
   ckpt.width = r.I32();
   ckpt.height = r.I32();
   if (!r.ok() || ckpt.width <= 0 || ckpt.height <= 0 || ckpt.width > kMaxDimension ||
-      ckpt.height > kMaxDimension || ckpt.lifecycle_state > 1) {
+      ckpt.height > kMaxDimension) {
     return std::nullopt;
   }
   const size_t pixel_count = static_cast<size_t>(ckpt.width) * static_cast<size_t>(ckpt.height);
@@ -119,32 +92,6 @@ std::optional<SessionCheckpoint> DecodeCheckpoint(std::span<const uint8_t> blob)
   if (!ReadPixels(r, pixel_count, &ckpt.fb_pixels)) {
     return std::nullopt;
   }
-  ckpt.tracker_present = r.U8() != 0;
-  if (ckpt.tracker_present) {
-    ckpt.tracker_valid = r.U8() != 0;
-    ckpt.shadow_row_hashes.resize(static_cast<size_t>(ckpt.height));
-    for (auto& h : ckpt.shadow_row_hashes) {
-      h = r.U64();
-    }
-    if (r.remaining() < pixel_count * sizeof(Pixel) ||
-        !ReadPixels(r, pixel_count, &ckpt.shadow_pixels)) {
-      return std::nullopt;
-    }
-  }
-  const uint32_t rect_count = r.U32();
-  if (!r.ok() || rect_count > kMaxDamageRects) {
-    return std::nullopt;
-  }
-  ckpt.damage.resize(rect_count);
-  for (Rect& rect : ckpt.damage) {
-    rect.x = r.I32();
-    rect.y = r.I32();
-    rect.w = r.I32();
-    rect.h = r.I32();
-  }
-  ckpt.interactive_grant_bps = r.I64();
-  ckpt.video_grant_bps = r.I64();
-  ckpt.link_total_bps = r.I64();
   ckpt.video_deferred = r.I64();
   ckpt.video_dropped = r.I64();
   ckpt.coalesced_flushes = r.I64();
@@ -171,26 +118,6 @@ void ServerSession::CaptureCheckpoint(SessionCheckpoint* out) const {
   out->height = fb_.height();
   out->fb_pixels.assign(fb_.data().begin(), fb_.data().end());
 
-  out->tracker_present = tracker_ != nullptr;
-  if (tracker_ != nullptr) {
-    out->tracker_valid = tracker_->valid();
-    const Framebuffer& shadow = tracker_->shadow();
-    out->shadow_pixels.assign(shadow.data().begin(), shadow.data().end());
-    out->shadow_row_hashes.resize(static_cast<size_t>(out->height));
-    for (int32_t y = 0; y < out->height; ++y) {
-      out->shadow_row_hashes[static_cast<size_t>(y)] = tracker_->row_hash(y);
-    }
-  } else {
-    out->tracker_valid = false;
-    out->shadow_pixels.clear();
-    out->shadow_row_hashes.clear();
-  }
-
-  out->damage = damage_.rects();
-
-  out->interactive_grant_bps = interactive_grant_bps_;
-  out->video_grant_bps = video_grant_bps_;
-  out->link_total_bps = link_total_bps_;
   out->video_deferred = video_deferred_;
   out->video_dropped = video_dropped_;
   out->coalesced_flushes = coalesced_flushes_;
@@ -214,29 +141,13 @@ void ServerSession::RestoreFromCheckpoint(const SessionCheckpoint& ckpt) {
   SLIM_CHECK(ckpt.fb_pixels.size() == fb_.data().size());
 
   fb_.SetPixels(fb_.bounds(), ckpt.fb_pixels);
-
+  // The shadow still holds this fresh session's black frame, not what any console shows.
+  // The attach that follows repaints in full regardless; invalidating here keeps the
+  // tracker honest even before then.
   if (tracker_ != nullptr) {
-    if (ckpt.tracker_present && ckpt.shadow_pixels.size() == fb_.data().size() &&
-        ckpt.shadow_row_hashes.size() == static_cast<size_t>(ckpt.height)) {
-      tracker_->RestoreShadow(ckpt.shadow_pixels, ckpt.shadow_row_hashes,
-                              ckpt.tracker_valid);
-    } else {
-      // Source ran without a tracker (or the blob's shadow is inconsistent): distrust
-      // everything, worst case is one full retransmit on the next attach.
-      tracker_->Invalidate();
-    }
+    tracker_->Invalidate();
   }
 
-  damage_.Clear();
-  for (const Rect& r : ckpt.damage) {
-    damage_.Add(r);
-  }
-  pending_.clear();
-  staged_video_.reset();
-
-  interactive_grant_bps_ = ckpt.interactive_grant_bps;
-  video_grant_bps_ = ckpt.video_grant_bps;
-  link_total_bps_ = ckpt.link_total_bps;
   video_deferred_ = ckpt.video_deferred;
   video_dropped_ = ckpt.video_dropped;
   coalesced_flushes_ = ckpt.coalesced_flushes;

@@ -1,13 +1,14 @@
-// Session checkpointing: a complete ServerSession serialized to a versioned blob.
+// Session checkpointing: the state a restore needs, serialized to a versioned blob.
 //
 // The paper's signature property (Section 5.4) is that a session is pure server state —
-// the console holds nothing worth saving. A checkpoint makes that property mechanical: it
-// captures everything a SLIM server knows about one session (true framebuffer, the damage
-// tracker's shadow frame and row hashes, pending damage, pacing/grant state, lifecycle
-// state, CPU/byte counters, the send-seq watermark toward its console) into one
-// length-prefixed byte blob that any other server in the pool can restore bit-identically.
-// Migration (src/server/migration.h) moves these blobs between servers; crash failover
-// replays the most recent one on a warm standby.
+// the console holds nothing worth saving, and one repaint re-creates what it shows. A
+// checkpoint makes that property mechanical: it carries the session's identity, its true
+// framebuffer, and its CPU/byte/pacing counters, and nothing else. Everything else a
+// server knows about a session is soft state toward its current console — the damage
+// tracker's shadow frame, pending damage, console grants, transport seqs — and the
+// restoring server's attach (AttachConsole: ClearPacedState, then ForceRepaintAll)
+// rebuilds all of it from the pixels. Migration (src/server/migration.h) moves these
+// blobs between servers; crash failover replays the most recent one on a warm standby.
 //
 // Format (all little-endian): u32 magic "SLCK", u32 version, u64 body length, body. The
 // decoder rejects version mismatches, truncated bodies, and geometry that disagrees with
@@ -22,13 +23,12 @@
 #include <vector>
 
 #include "src/fb/framebuffer.h"
-#include "src/fb/geometry.h"
 #include "src/util/time.h"
 
 namespace slim {
 
 constexpr uint32_t kCheckpointMagic = 0x534C434Bu;  // "SLCK"
-constexpr uint32_t kCheckpointVersion = 1;
+constexpr uint32_t kCheckpointVersion = 2;
 
 // Per-command-type encoder totals, mirroring EncodeStats (slot 0 unused, 1..5 = SET,
 // BITMAP, FILL, COPY, CSCS). Duplicated here rather than including the codec header so
@@ -46,32 +46,13 @@ struct SessionCheckpoint {
   // Identity (on the source server; the restoring server allocates its own session id).
   uint32_t origin_session = 0;
   uint64_t card_id = 0;
-  uint8_t lifecycle_state = 0;  // SessionState: 0 = detached, 1 = attached
-  // Highest transport seq the source had assigned toward its attached console. Restored
-  // as a floor on the destination so the migrated session's seq space stays monotonic
-  // across the pool even though consoles key their guards per server node.
-  uint64_t console_send_seq = 0;
 
   // Framebuffer (the round-trip contract: restore must reproduce these bits exactly).
   int32_t width = 0;
   int32_t height = 0;
   std::vector<Pixel> fb_pixels;
 
-  // Damage-tracker shadow state; absent when the source ran without a tracker.
-  bool tracker_present = false;
-  bool tracker_valid = false;
-  std::vector<Pixel> shadow_pixels;       // width * height when present
-  std::vector<uint64_t> shadow_row_hashes;  // height entries when present
-
-  // Not-yet-encoded damage at capture time (pending commands are flushed pre-capture).
-  std::vector<Rect> damage;
-
-  // Pacing/grant state (Section 7). Grants are per-console and are cleared again on the
-  // next attach; they travel so a restored-but-not-yet-reattached session reads back
-  // exactly as it was.
-  int64_t interactive_grant_bps = 0;
-  int64_t video_grant_bps = 0;
-  int64_t link_total_bps = 0;
+  // Pacing counters (Section 7).
   int64_t video_deferred = 0;
   int64_t video_dropped = 0;
   int64_t coalesced_flushes = 0;
@@ -95,8 +76,8 @@ struct SessionCheckpoint {
 std::vector<uint8_t> EncodeCheckpoint(const SessionCheckpoint& ckpt);
 
 // Parses a blob. Returns nullopt on a version mismatch, truncation, a body length that
-// disagrees with the buffer, or internal inconsistency (pixel counts vs geometry, an
-// unreasonable rect count). Never crashes on hostile input (fuzzed in migration_test).
+// disagrees with the buffer, or geometry that disagrees with the pixel payload. Never
+// crashes on hostile input (fuzzed in migration_test).
 std::optional<SessionCheckpoint> DecodeCheckpoint(std::span<const uint8_t> blob);
 
 }  // namespace slim

@@ -137,10 +137,6 @@ SessionCheckpoint MigrationManager::Capture(uint64_t card_id, ServerSession& ses
   SessionCheckpoint ckpt;
   session.CaptureCheckpoint(&ckpt);
   ckpt.card_id = card_id;
-  ckpt.lifecycle_state =
-      server_->session_state(session.id()) == SessionState::kAttached ? 1 : 0;
-  ckpt.console_send_seq =
-      session.attached() ? server_->endpoint().send_seq(session.console()) : 0;
   ++checkpoint_stats_.captures;
   return ckpt;
 }
@@ -430,7 +426,6 @@ void MigrationManager::CompleteIncoming(uint64_t epoch) {
       return;
     }
     in.staged = server_->BuildStagedSession(*ckpt);
-    in.staged_seq_floor = ckpt->console_send_seq;
     ++checkpoint_stats_.restores;
     ++stats_.staged;
   }
@@ -525,7 +520,6 @@ void MigrationManager::InstallIncoming(uint64_t epoch) {
   if (in.timer != kInvalidEventId) {
     server_->simulator()->Cancel(in.timer);
   }
-  seq_floor_[in.card_id] = in.staged_seq_floor;
   ServerSession& session = server_->InstallSession(in.card_id, std::move(in.staged));
   pool_->SetOwner(in.card_id, server_);
   ++stats_.installs;
@@ -698,7 +692,6 @@ MigrationManager::AdoptResult MigrationManager::AdoptCard(uint64_t card_id,
       if (card_owner != nullptr) {
         pool_->ClearOwnerIf(card_id, card_owner);
       }
-      seq_floor_[card_id] = ckpt->console_send_seq;
       result.session = &server_->InstallSession(card_id, server_->BuildStagedSession(*ckpt));
       pool_->SetOwner(card_id, server_);
       ++checkpoint_stats_.restores;
@@ -721,13 +714,7 @@ void MigrationManager::NoteLocalSession(uint64_t card_id) {
   pool_->SetOwner(card_id, server_);
 }
 
-void MigrationManager::OnSessionAttached(uint64_t card_id, uint32_t session_id,
-                                         NodeId console) {
-  const auto floor = seq_floor_.find(card_id);
-  if (floor != seq_floor_.end()) {
-    server_->endpoint().EnsureSendSeqAtLeast(console, floor->second);
-    seq_floor_.erase(floor);
-  }
+void MigrationManager::OnSessionAttached(uint64_t card_id, uint32_t session_id) {
   const SimTime start = pool_->TakeBlackoutStart(card_id);
   if (start >= 0) {
     const SimDuration blackout = server_->simulator()->now() - start;

@@ -13,11 +13,16 @@
 //     MigrateBegin + CheckpointChunk* ──▶  reassemble, decode, stage session (unregistered)
 //                                   ◀──  MigrateCommit(phase=1)   "restored, ready to own"
 //     blob changed? another pre-copy round (source still serving); else FREEZE:
-//     detach console (SessionRelease kMigrated), capture the final delta, send it,
-//     wait for its phase-1, then COMMIT: transfer ownership in the pool, discard the
-//     local session, tombstone the epoch
+//     detach console (SessionRelease kMigrated) and capture again; only if the frozen
+//     blob differs from the staged one, send it as a final round and wait for its
+//     phase-1. Then COMMIT: transfer ownership in the pool, discard the local session,
+//     tombstone the epoch
 //     MigrateCommit(phase=2) ──────────▶  install staged session, attach the waiting
 //                                         console (forced full repaint)
+//
+// A checkpoint holds only pixels and counters (src/server/checkpoint.h), so detaching
+// an idle session changes nothing in it: the staged round already is the final state,
+// and an idle hotdesk ships exactly one blob.
 //
 // Single-owner invariant: ownership changes hands exactly once, at the source's commit
 // point — before it the source serves and the destination's copy is an unregistered
@@ -208,9 +213,9 @@ class MigrationManager {
   AdoptResult AdoptCard(uint64_t card_id, NodeId console);
   // A fresh session was created locally for the card: record ownership in the pool.
   void NoteLocalSession(uint64_t card_id);
-  // A session is about to (re-)attach to `console`: apply the migrated seq watermark (if
-  // one is pending for the card) and close the blackout clock.
-  void OnSessionAttached(uint64_t card_id, uint32_t session_id, NodeId console);
+  // A session is about to (re-)attach: close the blackout clock if one is running for
+  // the card.
+  void OnSessionAttached(uint64_t card_id, uint32_t session_id);
 
   // True while any migration state is unresolved on this server (outgoing attempt,
   // incomplete or staged incoming transfer, or a console waiting on a pull). Tests use
@@ -253,14 +258,12 @@ class MigrationManager {
     // order around a replayed gap); applied once the Begin lands.
     std::map<uint32_t, CheckpointChunkMsg> early_chunks;
     std::unique_ptr<ServerSession> staged;  // handoff only, after a successful decode
-    uint64_t staged_seq_floor = 0;
     int retries = 0;
     EventId timer = kInvalidEventId;
   };
 
   uint64_t NewEpoch();
-  // Fills a checkpoint from the session plus the server-side identity fields (card,
-  // lifecycle state, seq watermark toward the attached console).
+  // Fills a checkpoint from the session plus its card id.
   SessionCheckpoint Capture(uint64_t card_id, ServerSession& session);
   // Sends the current round: one MigrateBegin plus every chunk of out.blob.
   void SendRound(Outgoing& out, MigratePurpose purpose);
@@ -306,8 +309,6 @@ class MigrationManager {
   std::set<uint64_t> done_;
   // Consoles waiting for a pulled session to install, by card.
   std::map<uint64_t, NodeId> pending_attach_;
-  // Migrated seq watermarks to apply on the next attach, by card.
-  std::map<uint64_t, uint64_t> seq_floor_;
   // Warm standby store: the latest complete checkpoint blob per card.
   std::map<uint64_t, std::vector<uint8_t>> warm_;
 

@@ -127,9 +127,6 @@ class ServerSession {
 
   const Region& pending_damage() const { return damage_; }
 
-  // Present when the encoder options enable shadow-frame damage refinement.
-  const DamageTracker* damage_tracker() const { return tracker_.get(); }
-
   // Simulated CPU accounting (Section 5.5 / Table 4).
   SimDuration render_time() const { return render_time_; }
   SimDuration encode_time() const { return encode_time_; }
@@ -148,16 +145,16 @@ class ServerSession {
   bool RegisterMetrics(MetricRegistry* registry, const std::string& prefix = "session");
 
   // --- Checkpointing (src/server/checkpoint.{h,cc}) ---
-  // Fills `out` with this session's complete serializable state: framebuffer bits, the
-  // damage tracker's shadow + row hashes, pending damage, pacing/grant state, and the
-  // accounting watermarks. Identity beyond the session id (card, lifecycle state, the
-  // console seq watermark) is the server's knowledge and is filled in by the caller.
-  // Staged video is deliberately not captured — it never touched session state, and the
-  // paper's drop-stale-frames rule makes losing it the correct behavior.
+  // Fills `out` with what a restore keeps: framebuffer bits and the pacing/accounting
+  // counters. The card id is the server's knowledge and is filled in by the caller.
+  // Console soft state (the tracker's shadow, pending damage, grants, staged video) is
+  // deliberately not captured: the restoring server's attach rebuilds it with one full
+  // repaint, and the paper's drop-stale-frames rule makes losing a staged frame correct.
   void CaptureCheckpoint(SessionCheckpoint* out) const;
-  // Overwrites this session's state from a decoded checkpoint. The session must be
-  // detached and its geometry must match the checkpoint's (checked): the restoring
-  // server constructs the session from the checkpoint's width/height first.
+  // Copies a decoded checkpoint's pixels and counters into this session and invalidates
+  // its damage tracker. The session must be detached and its geometry must match the
+  // checkpoint's (checked): the restoring server constructs the session from the
+  // checkpoint's width/height first.
   void RestoreFromCheckpoint(const SessionCheckpoint& ckpt);
 
  private:

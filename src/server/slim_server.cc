@@ -255,10 +255,13 @@ bool SlimServer::RegisterMetrics(MetricRegistry* registry, const std::string& pr
   bool ok = auth_.RegisterMetrics(registry, prefix + ".auth");
   // Which kernel tier the encode path resolved at startup (KernelTier numeric value:
   // 0=scalar 1=sse2). A gauge so dashboards snapshotting a server can tell whether its
-  // pixel loops are running vectorized without shell access.
-  ok = registry->BindGauge("codec.kernels.tier",
-                           [] { return static_cast<double>(Kernels().tier); }) &&
-       ok;
+  // pixel loops are running vectorized without shell access. The tier is process-wide,
+  // so only the first server registered into a shared registry binds it.
+  if (!registry->Contains("codec.kernels.tier")) {
+    ok = registry->BindGauge("codec.kernels.tier",
+                             [] { return static_cast<double>(Kernels().tier); }) &&
+         ok;
+  }
   ok = registry->BindGauge(prefix + ".sessions",
                            [this] { return static_cast<double>(sessions_.size()); }) &&
        ok;
@@ -419,9 +422,8 @@ void SlimServer::AttachSessionToConsole(ServerSession& session, NodeId console) 
     RequestSessionBandwidth(session, console);
   }
   if (migration_ != nullptr) {
-    // Before the repaint's first send: raise the seq floor for a migrated session and
-    // close the blackout clock if one is running for this card.
-    migration_->OnSessionAttached(lc.card_id, session.id(), console);
+    // Close the blackout clock if one is running for this card.
+    migration_->OnSessionAttached(lc.card_id, session.id());
   }
   // ForceRepaintAll + Flush: the console's framebuffer is soft state and starts black.
   session.AttachConsole(console);

@@ -1,10 +1,13 @@
 // Server-farm tests (DESIGN.md §9): checkpoint round-trip exactness, hostile-blob
-// rejection, cross-server hotdesk migration (clean and under chaos loss), and warm-standby
-// crash failover.
+// rejection, cross-server hotdesk migration (clean, idle, drawn-on mid-transfer, and
+// under chaos loss), and warm-standby crash failover.
 //
-// The acceptance properties from the issue:
-//   - checkpoint -> restore is bit-identical on the framebuffer AND the damage tracker's
-//     shadow state (property-tested over randomized sessions);
+// The properties pinned here:
+//   - checkpoint -> restore is bit-identical on the framebuffer and the accounting
+//     counters (property-tested over randomized sessions); console soft state is not
+//     checkpointed, because the destination's attach repaints in full;
+//   - an idle hotdesk ships one round, and a session drawn on during pre-copy ships a
+//     final round carrying the new pixels;
 //   - a cross-server hotdesk under 10% fabric loss converges with exactly one owning
 //     server and zero stale card mappings;
 //   - a killed server's session comes back from the warm standby with the pre-crash
@@ -58,22 +61,12 @@ SessionCheckpoint SyntheticCheckpoint() {
   SessionCheckpoint ckpt;
   ckpt.origin_session = 7;
   ckpt.card_id = 0xDEADBEEFCAFEull;
-  ckpt.lifecycle_state = 1;
-  ckpt.console_send_seq = 123456789;
   ckpt.width = 8;
   ckpt.height = 3;
   ckpt.fb_pixels.resize(24);
   for (size_t i = 0; i < ckpt.fb_pixels.size(); ++i) {
     ckpt.fb_pixels[i] = static_cast<Pixel>(0x010203 * i);
   }
-  ckpt.tracker_present = true;
-  ckpt.tracker_valid = true;
-  ckpt.shadow_pixels = ckpt.fb_pixels;
-  ckpt.shadow_row_hashes = {11, 22, 33};
-  ckpt.damage = {Rect{1, 1, 4, 2}, Rect{0, 0, 8, 1}};
-  ckpt.interactive_grant_bps = 2'000'000;
-  ckpt.video_grant_bps = 40'000'000;
-  ckpt.link_total_bps = 100'000'000;
   ckpt.video_deferred = 3;
   ckpt.video_dropped = 1;
   ckpt.coalesced_flushes = 9;
@@ -92,17 +85,6 @@ TEST(CheckpointTest, EncodeDecodeRoundTripIsExact) {
   const SessionCheckpoint ckpt = SyntheticCheckpoint();
   const std::vector<uint8_t> blob = EncodeCheckpoint(ckpt);
   const std::optional<SessionCheckpoint> decoded = DecodeCheckpoint(blob);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, ckpt);
-}
-
-TEST(CheckpointTest, TrackerlessCheckpointRoundTrips) {
-  SessionCheckpoint ckpt = SyntheticCheckpoint();
-  ckpt.tracker_present = false;
-  ckpt.tracker_valid = false;
-  ckpt.shadow_pixels.clear();
-  ckpt.shadow_row_hashes.clear();
-  const std::optional<SessionCheckpoint> decoded = DecodeCheckpoint(EncodeCheckpoint(ckpt));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, ckpt);
 }
@@ -126,7 +108,7 @@ TEST(CheckpointTest, VersionAndMagicMismatchesAreRejected) {
   std::vector<uint8_t> blob = EncodeCheckpoint(ckpt);
   ASSERT_TRUE(DecodeCheckpoint(blob).has_value());
   std::vector<uint8_t> bad_version = blob;
-  bad_version[4] = 2;  // version 2 does not exist
+  bad_version[4] = static_cast<uint8_t>(kCheckpointVersion + 1);
   EXPECT_FALSE(DecodeCheckpoint(bad_version).has_value());
   std::vector<uint8_t> bad_magic = blob;
   bad_magic[0] ^= 0xFF;
@@ -158,8 +140,8 @@ class CheckpointSessionFixture : public ::testing::Test {
         server_b_(&sim_, &fabric_, SmallSession()),
         console_(&sim_, &fabric_, SmallConsole()) {}
 
-  // Attach at server A and scribble `rounds` of randomized content so the framebuffer,
-  // damage tracker shadow, and counters all hold non-trivial state.
+  // Attach at server A and scribble `rounds` of randomized content so the framebuffer and
+  // the counters both hold non-trivial state.
   ServerSession& PopulatedSession(Rng* rng, int rounds) {
     card_ = server_a_.auth().IssueCard(1);
     ServerSession& session = server_a_.CreateSession(card_);
@@ -196,7 +178,6 @@ TEST_F(CheckpointSessionFixture, RandomizedSessionsRoundTripBitIdentical) {
   SessionCheckpoint ckpt;
   session.CaptureCheckpoint(&ckpt);
   ckpt.card_id = card_;
-  ckpt.lifecycle_state = 1;
   EXPECT_EQ(ckpt.fb_pixels.size(), static_cast<size_t>(160 * 120));
 
   // Wire round trip is exact.
@@ -204,17 +185,12 @@ TEST_F(CheckpointSessionFixture, RandomizedSessionsRoundTripBitIdentical) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, ckpt);
 
-  // Restoring on another server reproduces framebuffer AND shadow state bit-identically:
+  // Restoring on another server reproduces the framebuffer and counters bit-identically:
   // a second capture from the restored session differs only in its identity fields.
   std::unique_ptr<ServerSession> restored = server_b_.BuildStagedSession(*decoded);
   SessionCheckpoint recaptured;
   restored->CaptureCheckpoint(&recaptured);
   EXPECT_EQ(recaptured.fb_pixels, ckpt.fb_pixels);
-  EXPECT_EQ(recaptured.tracker_present, ckpt.tracker_present);
-  EXPECT_EQ(recaptured.tracker_valid, ckpt.tracker_valid);
-  EXPECT_EQ(recaptured.shadow_pixels, ckpt.shadow_pixels);
-  EXPECT_EQ(recaptured.shadow_row_hashes, ckpt.shadow_row_hashes);
-  EXPECT_EQ(recaptured.damage, ckpt.damage);
   EXPECT_EQ(recaptured.commands_sent, ckpt.commands_sent);
   EXPECT_EQ(recaptured.bytes_sent, ckpt.bytes_sent);
   for (int t = 1; t <= 5; ++t) {
@@ -257,11 +233,8 @@ TEST(CheckpointPropertyTest, PropertyManySeedsManyShapes) {
     ASSERT_EQ(*decoded, ckpt) << "seed " << seed;
     SessionCheckpoint recaptured;
     dst.BuildStagedSession(*decoded)->CaptureCheckpoint(&recaptured);
-    EXPECT_EQ(recaptured.fb_pixels, ckpt.fb_pixels) << "seed " << seed;
-    EXPECT_EQ(recaptured.shadow_pixels, ckpt.shadow_pixels) << "seed " << seed;
-    EXPECT_EQ(recaptured.shadow_row_hashes, ckpt.shadow_row_hashes) << "seed " << seed;
-    EXPECT_EQ(recaptured.tracker_valid, ckpt.tracker_valid) << "seed " << seed;
-    EXPECT_EQ(recaptured.damage, ckpt.damage) << "seed " << seed;
+    recaptured.origin_session = ckpt.origin_session;  // the restoring server's own id
+    EXPECT_EQ(recaptured, ckpt) << "seed " << seed;
   }
 }
 
@@ -345,6 +318,61 @@ TEST_F(MigrationFixture, CleanHotdeskAcrossServersMovesTheSessionExactly) {
   EXPECT_GT(manager_b_->stats().blackout_last_ns, 0);
   EXPECT_GT(manager_a_->checkpoint_stats().captures, 0);
   EXPECT_GT(manager_b_->checkpoint_stats().restores, 0);
+}
+
+TEST_F(MigrationFixture, IdleHotdeskShipsOneRound) {
+  const uint64_t content_hash = StartSessionAtA();
+  ServerSession* session = server_a_.SessionForCard(card_);
+  ASSERT_NE(session, nullptr);
+  SessionCheckpoint ckpt;
+  session->CaptureCheckpoint(&ckpt);
+  ckpt.card_id = card_;
+  const size_t blob_bytes = EncodeCheckpoint(ckpt).size();
+
+  console_b_.InsertCard(server_b_.node(), card_);
+  sim_.RunFor(Seconds(2));
+
+  // Detaching an idle session changes nothing a checkpoint holds, so the frozen blob
+  // equals the staged round 0 and the source commits against it: one blob on the wire.
+  EXPECT_EQ(manager_a_->stats().committed, 1);
+  EXPECT_EQ(manager_a_->stats().rounds_sent, 0);
+  EXPECT_EQ(manager_a_->stats().begins_sent, 1);
+  EXPECT_EQ(manager_a_->stats().chunk_bytes_sent, static_cast<int64_t>(blob_bytes));
+  ServerSession* moved = server_b_.SessionForCard(card_);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_TRUE(moved->attached());
+  EXPECT_EQ(moved->framebuffer().ContentHash(), content_hash);
+  EXPECT_EQ(console_b_.framebuffer().ContentHash(), content_hash);
+}
+
+TEST_F(MigrationFixture, SourceDrawsDuringPreCopyShipsAFinalRound) {
+  StartSessionAtA();
+  console_b_.InsertCard(server_b_.node(), card_);
+  // Step until A has captured round 0, then draw before B can have acked it.
+  for (int i = 0; i < 100 && manager_a_->stats().started == 0; ++i) {
+    sim_.RunFor(Milliseconds(1));
+  }
+  ASSERT_EQ(manager_a_->stats().started, 1);
+  ASSERT_EQ(manager_b_->stats().phase1_sent, 0);
+  ServerSession* session = server_a_.SessionForCard(card_);
+  ASSERT_NE(session, nullptr);
+  session->FillRect(Rect{40, 40, 50, 30}, MakePixel(20, 200, 90));
+  session->Flush();
+  const uint64_t drawn_hash = session->framebuffer().ContentHash();
+
+  sim_.RunFor(Seconds(2));
+
+  // The staged round 0 predates the draw. Only blob equality stands between it and the
+  // commit, so the source must ship at least one more round carrying the new pixels.
+  EXPECT_GE(manager_a_->stats().rounds_sent, 1);
+  EXPECT_EQ(manager_a_->stats().committed, 1);
+  ServerSession* moved = server_b_.SessionForCard(card_);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_TRUE(moved->attached());
+  EXPECT_EQ(moved->framebuffer().ContentHash(), drawn_hash);
+  EXPECT_EQ(console_b_.framebuffer().ContentHash(), drawn_hash);
+  EXPECT_FALSE(manager_a_->MigrationInFlight());
+  EXPECT_FALSE(manager_b_->MigrationInFlight());
 }
 
 TEST_F(MigrationFixture, HotdeskBackAndForthKeepsASingleOwner) {
@@ -471,6 +499,11 @@ TEST_F(MigrationFixture, DeadOwnerWithoutWarmCheckpointColdStarts) {
 TEST_F(MigrationFixture, MigrationCountersRegisterAndReadBack) {
   MetricRegistry registry;
   ASSERT_TRUE(server_a_.RegisterMetrics(&registry, "server"));
+  // A second server shares the registry under its own prefix; the process-wide kernel
+  // tier gauge must not make its registration fail.
+  ASSERT_TRUE(server_b_.RegisterMetrics(&registry, "server_b"));
+  EXPECT_TRUE(registry.Contains("codec.kernels.tier"));
+  EXPECT_TRUE(registry.Contains("server_b.migration.installs"));
   EXPECT_TRUE(registry.Contains("server.migration.started"));
   EXPECT_TRUE(registry.Contains("server.migration.committed"));
   EXPECT_TRUE(registry.Contains("server.migration.installs"));

@@ -186,11 +186,6 @@ TEST(MessageTest, MigrationMessagesRoundTrip) {
     EXPECT_EQ(std::get<MigrateAbortMsg>(back.body), abort);
     EXPECT_EQ(TypeOfMessage(back), MessageType::kMigrateAbort);
   }
-
-  const SeqSyncMsg sync{100, 5000};
-  const Message sync_back = RoundTrip(Message{0, 0, sync});
-  EXPECT_EQ(std::get<SeqSyncMsg>(sync_back.body), sync);
-  EXPECT_EQ(TypeOfMessage(sync_back), MessageType::kSeqSync);
 }
 
 // Every prefix truncation of each migration message must parse as nullopt, never crash —
@@ -206,7 +201,6 @@ TEST(MessageTest, MigrationMessagesRejectTruncatedPayload) {
       Message{0, 12, MigrateBeginMsg{1, 2, 3, 0, MigratePurpose::kHandoff, 4, 5}},
       Message{0, 13, MigrateCommitMsg{1, 0, 1}},
       Message{0, 14, MigrateAbortMsg{1, MigrateAbortReason::kTimeout}},
-      Message{0, 0, SeqSyncMsg{10, 20}},
   };
   for (const Message& msg : msgs) {
     const auto bytes = SerializeMessage(msg);
@@ -242,9 +236,6 @@ TEST(MessageTest, MigrationMessagesRejectBadFieldValues) {
   chunk.index = 2;
   chunk.data.assign(8, 0);
   EXPECT_FALSE(ParseMessage(SerializeMessage(Message{0, 1, chunk})).has_value());
-
-  // A seq-sync whose floor precedes its own skip start excuses a negative range.
-  EXPECT_FALSE(ParseMessage(SerializeMessage(Message{0, 0, SeqSyncMsg{20, 10}})).has_value());
 }
 
 // The checkpoint blob envelope (magic, version, body length) is protocol surface too:
