@@ -70,7 +70,8 @@ void EncoderHeuristicAblation(BenchReporter* report) {
       wire += static_cast<int64_t>(WireSize(cmd));
     }
     const int64_t raw = screen.bounds().area() * 3;
-    table.AddRow({config.name, Format("%zu", cmds.size()), Format("%lld", wire / 1024),
+    table.AddRow({config.name, Format("%zu", cmds.size()),
+                  Format("%lld", static_cast<long long>(wire / 1024)),
                   Format("%.1fx", static_cast<double>(raw) / static_cast<double>(wire))});
     report->Metric(std::string("encoder.") + config.slug + ".compression",
                    static_cast<double>(raw) / static_cast<double>(wire), "ratio");
@@ -95,7 +96,7 @@ void GranularityAblation() {
         wire += static_cast<int64_t>(WireSize(cmd));
       }
       table.AddRow({Format("%dx%d", band, chunk), Format("%zu", cmds.size()),
-                    Format("%lld", wire / 1024)});
+                    Format("%lld", static_cast<long long>(wire / 1024))});
     }
   }
   std::printf("%s", table.Render().c_str());
@@ -114,7 +115,8 @@ void CscsDepthAblation() {
     cmd.depth = depth;
     cmd.payload.assign(CscsPayloadBytes(320, 240, depth), 0);
     const auto bytes = static_cast<int64_t>(cmd.payload.size());
-    table.AddRow({Format("%d bpp", BitsPerPixel(depth)), Format("%lld", bytes / 1024),
+    table.AddRow({Format("%d bpp", BitsPerPixel(depth)),
+                  Format("%lld", static_cast<long long>(bytes / 1024)),
                   Format("%.1f", bytes * 8.0 * 24 / 1e6),
                   Format("%.1f ms", ToMillis(model.CostOf(DisplayCommand(cmd)))),
                   Format("%.1f ms", ToMillis(model.StreamingCscsCost(cmd)))});

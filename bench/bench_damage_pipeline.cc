@@ -1,4 +1,4 @@
-// Real-hardware throughput of the hash-accelerated damage pipeline on a scroll-heavy
+// Real-hardware throughput of the shadow-frame damage pipeline on a scroll-heavy
 // workload (the worst case the shadow-frame tracker exists for: hint-less scrolls that
 // reach the server as full-frame damage).
 //
@@ -10,8 +10,8 @@
 //               the encoder only sees the residual.
 // Both streams are applied to replica framebuffers and CHECKed for bit-exact convergence,
 // so the speedup numbers are for equivalent, correct output. A second section times the
-// hash-indexed scroll detector, cold and with the pipeline's row-hash hints, on the same
-// frames (both results are CHECKed against the known shift).
+// hash-indexed scroll detector on the same frames (its result is CHECKed against the
+// known shift).
 //
 // Knobs: SLIM_DP_FRAMES (timed frames, default 40), SLIM_DP_WIDTH/HEIGHT (default
 // 1280x1024), SLIM_DP_REPS (detector timing reps, default 25). Expect the refined
@@ -27,7 +27,6 @@
 #include "src/codec/damage_tracker.h"
 #include "src/codec/decoder.h"
 #include "src/codec/encoder.h"
-#include "src/codec/row_hash.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -172,44 +171,26 @@ int main() {
   report.Metric("refined.wire_bytes", static_cast<double>(refined.wire_bytes), "bytes");
   report.Metric("refined.speedup", speedup, "x");
 
-  // Scroll detector micro-bench: hash-indexed, cold and with the pipeline's hash hints,
-  // best of `reps`, on two inputs:
+  // Scroll detector micro-bench, best of `reps`, on two inputs:
   //   clean    — one true scroll step;
   //   periodic — striped content whose rows repeat every 8 rows plus one noise pixel
   //              mid-frame, so many shifts look plausible row by row but none holds.
-  // Both detector calls are CHECKed to return the expected dy on both inputs.
+  // The detector is CHECKed to return the expected dy on both inputs.
   const auto bench_pair = [&](const char* label, const Framebuffer& b, const Framebuffer& a,
                               int32_t expect_dy) {
-    const Rect rect = a.bounds();
-    std::vector<uint64_t> before_rows(static_cast<size_t>(b.height()));
-    std::vector<uint64_t> after_rows(static_cast<size_t>(a.height()));
-    for (int32_t y = 0; y < b.height(); ++y) {
-      before_rows[static_cast<size_t>(y)] = RowHash64(b.Row(y));
-    }
-    for (int32_t y = 0; y < a.height(); ++y) {
-      after_rows[static_cast<size_t>(y)] = RowHash64(a.Row(y));
-    }
-    const ScrollHashHints hints{before_rows, after_rows};
-    double hash_ms = 0, hinted_ms = 0;
-    int32_t hash_dy = 0, hinted_dy = 0;
+    double hash_ms = 0;
+    int32_t hash_dy = 0;
     for (int rep = 0; rep <= reps; ++rep) {
-      auto start = std::chrono::steady_clock::now();
-      hash_dy = DetectVerticalScroll(b, a, rect, 64);
+      const auto start = std::chrono::steady_clock::now();
+      hash_dy = DetectVerticalScroll(b, a, a.bounds(), 64);
       const double hms = MillisSince(start);
-      start = std::chrono::steady_clock::now();
-      hinted_dy = DetectVerticalScroll(b, a, rect, 64, &hints);
-      const double tms = MillisSince(start);
       if (rep > 0) {  // rep 0 warms up
         hash_ms = hash_ms == 0 ? hms : std::min(hash_ms, hms);
-        hinted_ms = hinted_ms == 0 ? tms : std::min(hinted_ms, tms);
       }
     }
-    SLIM_CHECK(hash_dy == expect_dy && hinted_dy == expect_dy);
-    std::printf("  %-8s  hash %8.3f ms   hinted %8.3f ms   dy %d\n", label, hash_ms,
-                hinted_ms, hash_dy);
-    const std::string prefix = std::string("detector.") + label + ".";
-    report.Metric(prefix + "hash_best_ms", hash_ms, "ms");
-    report.Metric(prefix + "hinted_best_ms", hinted_ms, "ms");
+    SLIM_CHECK(hash_dy == expect_dy);
+    std::printf("  %-8s  hash %8.3f ms   dy %d\n", label, hash_ms, hash_dy);
+    report.Metric(std::string("detector.") + label + ".hash_best_ms", hash_ms, "ms");
   };
 
   std::printf("Scroll detector (max_shift 64), best of %d:\n", reps);

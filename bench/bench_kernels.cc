@@ -8,11 +8,11 @@
 // reports GB/s of input pixels consumed plus each tier's speedup over scalar. Content is
 // chosen per kernel so no early-exit shortcuts the work: bicolor rows for the two-color
 // scan and bit-packer (the full-row "is this text?" worst case), equal rows for the diff
-// kernel (the dominant refinement case — rows whose full hash collided but must be
-// confirmed), random 24-bit pixels for the hash and YUV kernels.
+// kernel (the dominant refinement case — damaged rows whose pixels did not change),
+// random 24-bit pixels for the hash and YUV kernels.
 //
 // The timing numbers are machine-dependent and excluded from the bench_diff gate
-// (bench_diff_smoke_kernels skips "gbps"/"speedup"/"tiers"); what the committed
+// (bench_smoke_kernels skips "gbps"/"speedup"/"tiers"); what the committed
 // baseline pins are the parity.<kernel>.checksum metrics — 32-bit folds of each
 // kernel's outputs over a fixed pseudo-random input set, CHECKed identical across
 // every available tier here and compared against the baseline by ctest. A kernel

@@ -1,16 +1,17 @@
-# bench_diff_smoke: reruns one deterministic harness at the pinned baseline scale and
-# gates it against the committed report in bench/baselines/ via bench_diff. Invoked by
-# ctest (see top-level CMakeLists.txt) as:
+# bench_diff_smoke: gates the report a bench_smoke_<name> test left in REPORT_DIR against
+# its committed baseline in bench/baselines/ via bench_diff. Invoked by ctest (the
+# bench_diff_smoke* tests in the top-level CMakeLists.txt, which require their smoke test
+# as a fixture) as:
 #
-#   cmake -DHARNESS=<path> -DBENCH_DIFF=<path> -DBASELINE=<path> -DOUT_DIR=<scratch>
+#   cmake -DBENCH_DIFF=<path> -DBASELINE=<path> -DREPORT_DIR=<dir> [-DDIFF_SKIPS=<a,b,...>]
 #         -P bench_diff_smoke.cmake
 #
-# The simulation is deterministic, so the committed baseline reproduces bit-for-bit on any
-# box with the same toolchain; a tiny tolerance absorbs JSON double round-tripping. To
-# refresh the baseline after an intentional behavior change, rerun the harness with the
-# env below and copy the report over bench/baselines/ (bench_diff prints the drift).
+# The simulation is deterministic, and tracing does not change it, so the committed
+# baseline reproduces bit-for-bit on any box with the same toolchain; a tiny tolerance
+# absorbs JSON double round-tripping. To refresh a baseline after an intentional behavior
+# change, copy the smoke test's report over it (bench_diff prints the drift).
 
-foreach(var HARNESS BENCH_DIFF BASELINE OUT_DIR)
+foreach(var BENCH_DIFF BASELINE REPORT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "bench_diff_smoke: ${var} not set")
   endif()
@@ -21,36 +22,23 @@ endforeach()
 # deterministic metrics with machine-dependent timing metrics (bench_kernels gates its
 # parity checksums while its GB/s and speedup numbers vary by host).
 set(skip_args "")
-if(DEFINED DIFF_SKIPS)
+if(DIFF_SKIPS)
   string(REPLACE "," ";" skip_list "${DIFF_SKIPS}")
   foreach(skip ${skip_list})
     list(APPEND skip_args --skip ${skip})
   endforeach()
 endif()
 
-file(MAKE_DIRECTORY ${OUT_DIR})
-get_filename_component(name ${HARNESS} NAME)
-
-# Pinned scale: must stay in lockstep with the committed baseline's `scale` block
-# (bench_diff refuses to compare mismatched knobs).
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env
-    SLIM_USERS=2 SLIM_MINUTES=1 SLIM_SECONDS=5 SLIM_SOAK_EVENTS=20
-    SLIM_BENCH_DIR=${OUT_DIR}
-    ${HARNESS}
-  RESULT_VARIABLE rc
-  OUTPUT_QUIET)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "bench_diff_smoke: ${name} exited with ${rc}")
-endif()
-
 get_filename_component(report ${BASELINE} NAME)
+if(NOT EXISTS ${REPORT_DIR}/${report})
+  message(FATAL_ERROR "bench_diff_smoke: no ${report} in ${REPORT_DIR}")
+endif()
 execute_process(
-  COMMAND ${BENCH_DIFF} --tol 0.000001 ${skip_args} ${BASELINE} ${OUT_DIR}/${report}
+  COMMAND ${BENCH_DIFF} --tol 0.000001 ${skip_args} ${BASELINE} ${REPORT_DIR}/${report}
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
-    "bench_diff_smoke: ${name} drifted from bench/baselines/${report} (${rc}); if the "
-    "change is intentional, regenerate the baseline at the pinned scale")
+    "bench_diff_smoke: ${report} drifted from bench/baselines/${report} (${rc}); if the "
+    "change is intentional, regenerate the baseline at the smoke scale")
 endif()
-message(STATUS "bench_diff_smoke: ${name} matches ${report}")
+message(STATUS "bench_diff_smoke: ${report} matches its baseline")

@@ -6,7 +6,9 @@
 #
 # Fails on: the harness exiting nonzero, not writing its report, the report failing schema
 # validation (schema drift between writer and validator), or its SLIM_TRACE output missing
-# or malformed.
+# or malformed. The report stays in OUT_DIR, where the harness's bench_diff_smoke* gate
+# (cmake/bench_diff_smoke.cmake) compares it with its committed baseline, so the scale set
+# below must match each baseline's `scale` block (bench_diff refuses mismatched knobs).
 
 foreach(var HARNESS VALIDATOR OUT_DIR)
   if(NOT DEFINED ${var})
@@ -32,9 +34,7 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
     SLIM_USERS=2 SLIM_MINUTES=1 SLIM_SECONDS=5 SLIM_SOAK_EVENTS=20
-    SLIM_DP_FRAMES=6 SLIM_DP_REPS=3
     SLIM_CHURN_SESSIONS=2 SLIM_CHURN_CONSOLES=3 SLIM_CHURN_OPS=24
-    SLIM_MIG_REPS=2 SLIM_MIG_WIDTH=160 SLIM_MIG_HEIGHT=120
     SLIM_BENCH_DIR=${OUT_DIR}
     SLIM_TRACE=${OUT_DIR}/TRACE_${name}.json
     ${HARNESS} ${extra_args}

@@ -7,7 +7,6 @@
 
 #include "src/codec/encoder.h"
 #include "src/codec/kernels/kernels.h"
-#include "src/codec/row_hash.h"
 #include "src/util/check.h"
 
 namespace slim {
@@ -49,33 +48,15 @@ bool DamageTrackerFromEnv(bool fallback) {
   return parsed != 0;
 }
 
-DamageTracker::DamageTracker(int32_t width, int32_t height)
-    : shadow_(width, height), row_hashes_(static_cast<size_t>(height)) {
-  for (int32_t y = 0; y < height; ++y) {
-    RehashRow(y);
-  }
-}
-
-void DamageTracker::RehashRow(int32_t y) {
-  row_hashes_[static_cast<size_t>(y)] = RowHash64(shadow_.Row(y));
-}
-
-void DamageTracker::CopySpans(const Framebuffer& fb, int32_t y0, int32_t y1, int32_t x0,
-                              int32_t w) {
-  for (int32_t y = y0; y < y1; ++y) {
-    std::memcpy(shadow_.MutableRow(y, x0, w).data(), fb.Row(y, x0, w).data(),
-                static_cast<size_t>(w) * sizeof(Pixel));
-    RehashRow(y);
-  }
-}
+DamageTracker::DamageTracker(int32_t width, int32_t height) : shadow_(width, height) {}
 
 void DamageTracker::SyncRect(const Framebuffer& fb, const Rect& rect) {
   SLIM_DCHECK(fb.width() == shadow_.width() && fb.height() == shadow_.height());
   const Rect r = Intersect(rect, shadow_.bounds());
-  if (r.empty()) {
-    return;
+  for (int32_t y = r.y; y < r.bottom(); ++y) {
+    std::memcpy(shadow_.MutableRow(y, r.x, r.w).data(), fb.Row(y, r.x, r.w).data(),
+                static_cast<size_t>(r.w) * sizeof(Pixel));
   }
-  CopySpans(fb, r.y, r.bottom(), r.x, r.w);
 }
 
 Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
@@ -100,32 +81,6 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
     return damage;
   }
 
-  // Lazily computed full-row hashes of fb. fb is const for the whole call, so these stay
-  // valid even as shadow rows are re-synced (the stored shadow hashes do change).
-  const size_t rows = static_cast<size_t>(shadow_.height());
-  if (fb_row_hashes_.size() != rows) {
-    fb_row_hashes_.assign(rows, 0);
-    fb_row_hashed_.assign(rows, 0);
-  } else {
-    std::fill(fb_row_hashed_.begin(), fb_row_hashed_.end(), uint8_t{0});
-  }
-  auto fb_hash = [&](int32_t y) {
-    const size_t i = static_cast<size_t>(y);
-    if (!fb_row_hashed_[i]) {
-      fb_row_hashes_[i] = RowHash64(fb.Row(y));
-      fb_row_hashed_[i] = 1;
-    }
-    return fb_row_hashes_[i];
-  };
-  // Syncs the shadow's row y to fb over columns [x0, x0+w) and refreshes the stored row
-  // hash — for free from the fb-hash cache when the synced row now equals fb's full row.
-  const auto sync_row = [&](int32_t y, int32_t x0, int32_t w, bool row_now_matches_fb) {
-    std::memcpy(shadow_.MutableRow(y, x0, w).data(), fb.Row(y, x0, w).data(),
-                static_cast<size_t>(w) * sizeof(Pixel));
-    row_hashes_[static_cast<size_t>(y)] =
-        row_now_matches_fb ? fb_hash(y) : RowHash64(shadow_.Row(y));
-  };
-
   // Scroll salvage: when the damage block looks like the shadow shifted vertically
   // (hint-less scrolls arrive as "the whole window changed"), ship the shift as one COPY
   // and let refinement handle only the residual. Correctness never depends on the
@@ -133,16 +88,19 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
   if (scroll_out != nullptr && scroll_max_shift > 0) {
     const Rect b = damage.bounds();
     if (b.w >= kScrollMinWidth && b.h >= kScrollMinHeight) {
+      // fb equals the shadow outside pending damage (every direct FILL/COPY/CSCS path
+      // syncs the shadow at once), so a row differs anywhere iff it differs within the
+      // bounds' columns.
+      const size_t row_bytes = static_cast<size_t>(b.w) * sizeof(Pixel);
       int32_t dirty_rows = 0;
-      for (int32_t y = b.y; y < b.bottom(); ++y) {
-        dirty_rows += fb_hash(y) != row_hashes_[static_cast<size_t>(y)] ? 1 : 0;
+      for (int32_t y = b.y; y < b.bottom() && dirty_rows < kScrollMinDirtyRows; ++y) {
+        if (std::memcmp(fb.Row(y, b.x, b.w).data(), shadow_.Row(y, b.x, b.w).data(),
+                        row_bytes) != 0) {
+          ++dirty_rows;
+        }
       }
       if (dirty_rows >= kScrollMinDirtyRows) {
-        // The detector reuses the hashes both sides already have: stored shadow row
-        // hashes as `before`, the gate's cached fb row hashes as `after` (the gate loop
-        // above filled the cache for every row the full-width detector can touch).
-        const ScrollHashHints hints{row_hashes_, fb_row_hashes_};
-        const int32_t dy = DetectVerticalScroll(shadow_, fb, b, scroll_max_shift, &hints);
+        const int32_t dy = DetectVerticalScroll(shadow_, fb, b, scroll_max_shift);
         if (dy != 0) {
           const int32_t y0 = std::max(b.y, b.y + dy);
           const int32_t y1 = std::min(b.bottom(), b.bottom() + dy);
@@ -151,10 +109,7 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
           // mirror it so refinement diffs against the post-copy display state. The
           // detector confirmed fb == shifted shadow over the overlap's rect columns, so
           // copying fb's rows IS applying the COPY — and spares rereading the shadow.
-          const bool full_rows = b.x == 0 && b.w == shadow_.width();
-          for (int32_t y = y0; y < y1; ++y) {
-            sync_row(y, b.x, b.w, full_rows);
-          }
+          SyncRect(fb, Rect{b.x, y0, b.w, y1 - y0});
         }
       }
     }
@@ -167,24 +122,18 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
     std::vector<DirtyRun> runs;
     bool collapsed = false;
     for (int32_t y = r.y; y < r.bottom(); ++y) {
-      // Cheap filter first: a full fb row hashing to the shadow's stored hash is
-      // unchanged everywhere, so in particular over this rect's columns.
-      if (fb_hash(y) == row_hashes_[static_cast<size_t>(y)]) {
-        continue;
-      }
       const std::span<const Pixel> cur = fb.Row(y, r.x, r.w);
-      const std::span<const Pixel> old = shadow_.Row(y, r.x, r.w);
+      const std::span<Pixel> old = shadow_.MutableRow(y, r.x, r.w);
       // Tight changed extent — first and last differing pixel in the rect's columns —
       // in one kernel pass instead of a memcmp plus two scalar scans.
       int32_t lo = 0;
       int32_t hi = r.w;  // exclusive
       if (!kernels.row_diff_span(cur.data(), old.data(), cur.size(), &lo, &hi)) {
-        continue;  // the change is on this row but outside this rect
+        continue;
       }
-      // Bring the shadow up to date for this row before moving on; fb hashes are cached,
-      // so later rects sharing the row still compare correctly. A full-width rect leaves
-      // the whole shadow row equal to fb's, so its hash comes from the cache.
-      sync_row(y, r.x + lo, hi - lo, r.x == 0 && r.w == shadow_.width());
+      // Bring the shadow up to date for this row's changed span before moving on.
+      std::memcpy(old.data() + lo, cur.data() + lo,
+                  static_cast<size_t>(hi - lo) * sizeof(Pixel));
 
       if (!runs.empty() && runs.back().y1 == y) {
         DirtyRun& run = runs.back();

@@ -10,7 +10,8 @@ namespace slim {
 
 // Applies one display command to a framebuffer. Returns false (leaving the framebuffer
 // untouched) when the command is malformed: payload size does not match its rectangle, the
-// rectangle is empty/negative, or a COPY's source rect reads outside the framebuffer.
+// rectangle is empty/negative, a rect's x + w or y + h exceeds INT32_MAX, or a COPY's
+// source rect reads outside the framebuffer.
 // Valid commands whose destination partially exits the framebuffer are clipped, matching
 // the hardware's behaviour.
 [[nodiscard]] bool ApplyCommand(const DisplayCommand& cmd, Framebuffer* fb);

@@ -244,8 +244,7 @@ void Encoder::AccumulateOne(CommandType type, size_t wire_bytes, int64_t uncompr
 }
 
 int32_t DetectVerticalScroll(const Framebuffer& before, const Framebuffer& after,
-                             const Rect& rect, int32_t max_shift,
-                             const ScrollHashHints* hints) {
+                             const Rect& rect, int32_t max_shift) {
   const Rect r = Intersect(rect, after.bounds());
   // Rects narrower or shorter than 8 pixels carry too few independent rows/columns for a
   // match to mean anything (and a "scroll" of a sliver saves nothing), so both dimensions
@@ -258,25 +257,12 @@ int32_t DetectVerticalScroll(const Framebuffer& before, const Framebuffer& after
   // proposes its plausible shifts in one lookup. A dy is a candidate only when every row
   // of its shifted overlap hash-matches (votes == overlap), which subsumes the old sparse
   // probe grid: any dy the probe pass would have accepted hash-matches too.
-  //
-  // Hints replace both hashing passes when the rect spans full rows of both frames (then
-  // a full-row hash IS the rect-restricted hash). Both sides must come from the same
-  // source — mixing hinted and computed hashes would break hash-to-hash comparability.
-  const bool use_hints =
-      hints != nullptr && r.x == 0 && r.w == after.width() && r.w == before.width() &&
-      r.bottom() <= before.height() &&
-      hints->after_rows.size() >= static_cast<size_t>(r.bottom()) &&
-      hints->before_rows.size() >= static_cast<size_t>(r.bottom());
   std::vector<uint64_t> after_hash(static_cast<size_t>(r.h));
   std::vector<uint64_t> before_hash(static_cast<size_t>(r.h));
   std::vector<Pixel> scratch;  // shared pad buffer for rows hanging off the frame edge
   for (int32_t i = 0; i < r.h; ++i) {
-    const size_t yi = static_cast<size_t>(r.y + i);
-    after_hash[static_cast<size_t>(i)] =
-        use_hints ? hints->after_rows[yi] : HashRowSpan(after, r.y + i, r.x, r.w, &scratch);
-    before_hash[static_cast<size_t>(i)] =
-        use_hints ? hints->before_rows[yi]
-                  : HashRowSpan(before, r.y + i, r.x, r.w, &scratch);
+    after_hash[static_cast<size_t>(i)] = HashRowSpan(after, r.y + i, r.x, r.w, &scratch);
+    before_hash[static_cast<size_t>(i)] = HashRowSpan(before, r.y + i, r.x, r.w, &scratch);
   }
   std::unordered_map<uint64_t, std::vector<int32_t>> index;
   index.reserve(static_cast<size_t>(r.h));

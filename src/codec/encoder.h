@@ -34,8 +34,8 @@ struct EncoderOptions {
   int64_t max_set_pixels = 128 * 1024;
 
   // Shadow-frame damage refinement (src/codec/damage_tracker.h): the session keeps a copy
-  // of the last-transmitted frame plus per-row hashes and trims draw-op damage to the
-  // pixels that actually changed before encoding, so over-broad damage (RepaintAll,
+  // of the last-transmitted frame and trims draw-op damage to the pixels that actually
+  // changed (a span diff per damaged row) before encoding, so over-broad damage (RepaintAll,
   // full-window PutImage of mostly-unchanged content) costs what it is worth. Disable for
   // ablation with SLIM_DAMAGE_TRACKER=0 (env override applied in SlimServer).
   bool damage_tracker = true;
@@ -87,32 +87,21 @@ class Encoder {
   EncoderOptions options_;
 };
 
-// Optional precomputed row hashes for DetectVerticalScroll: RowHash64 (src/codec/row_hash.h)
-// of each FULL row of the respective framebuffer, indexed by absolute y. The damage
-// tracker maintains exactly these for its shadow (before) and computes them for the
-// current frame (after) anyway, so passing them saves the detector both hashing passes.
-// Only consulted when `rect` spans the full width of both frames — a full-row hash equals
-// the rect-restricted hash only then — and when both spans cover the rect's rows.
-struct ScrollHashHints {
-  std::span<const uint64_t> before_rows;
-  std::span<const uint64_t> after_rows;
-};
-
 // Searches for a vertical scroll between `before` and `after` restricted to `rect`: a dy in
 // [-max_shift, max_shift] such that after(x, y) == before(x, y - dy) over the whole shifted
 // overlap. Returns 0 when none is found, and always 0 for rects narrower or shorter than
 // 8 pixels — too small to distinguish a scroll from coincidence.
 //
-// One O(rows) pass hashes each row of the rect (skipped entirely when `hints` apply) and
-// looks `after` row hashes up in an index of `before` row hashes to vote for candidate
-// shifts; candidates whose votes cover the entire overlap are then confirmed by row memcmp
-// in the same smallest-|dy|-first, negative-before-positive preference order the
+// One O(rows) pass hashes each row of both frames over the rect's columns and looks
+// `after` row hashes up in an index of `before` row hashes to vote for candidate shifts. A
+// hash match only proposes a shift: candidates whose votes cover the entire overlap are
+// confirmed by row memcmp, so a collision can cost time but never a wrong answer. They are
+// tried in the same smallest-|dy|-first, negative-before-positive preference order the
 // probe-based detector used, so the two agree on every input (property-tested in
 // tests/damage_tracker_test.cc against tests/scroll_probe_reference.h). Cost does not
 // scale with max_shift: there is no per-magnitude pixel probing.
 int32_t DetectVerticalScroll(const Framebuffer& before, const Framebuffer& after,
-                             const Rect& rect, int32_t max_shift,
-                             const ScrollHashHints* hints = nullptr);
+                             const Rect& rect, int32_t max_shift);
 
 }  // namespace slim
 

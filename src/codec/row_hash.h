@@ -1,17 +1,14 @@
-// The row hash shared by the damage tracker's shadow-frame diffing and the scroll
-// detector's row index.
+// The row hash behind the scroll detector's row index (DetectVerticalScroll in
+// src/codec/encoder.h), also pinned by bench_kernels' parity.row_hash.checksum.
 //
 // A straight FNV-1a over a row is a serial multiply chain — ~5 cycles of latency per
-// pixel, which dominates the whole damage pipeline once every flushed row gets hashed.
-// Splitting the row across four independent FNV-1a lanes breaks the chain (the four
-// multiplies retire in parallel) and folds the lanes at the end, roughly quadrupling
+// pixel. Splitting the row across four independent FNV-1a lanes breaks the chain (the
+// four multiplies retire in parallel) and folds the lanes at the end, roughly quadrupling
 // throughput while keeping the mixing quality of the underlying FNV step.
 //
-// Every comparison in the pipeline is hash-to-hash with BOTH sides produced by this
-// function (shadow row hashes vs current-frame row hashes, before vs after scroll rows),
-// so the exact constants only need to mix well — but producers and consumers must agree
-// on this one definition, which is why it lives in a shared header. The output is pinned
-// by bench_kernels' parity.row_hash.checksum.
+// Nothing trusts this hash for correctness: a hash match between two rows only proposes a
+// scroll shift, and a memcmp of the rows decides. So the exact constants only need to mix
+// well, and a collision costs a wasted compare, never a wrong frame.
 
 #ifndef SRC_CODEC_ROW_HASH_H_
 #define SRC_CODEC_ROW_HASH_H_

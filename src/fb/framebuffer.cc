@@ -69,14 +69,37 @@ void Framebuffer::ExpandBitmap(const Rect& r, std::span<const uint8_t> bits, Pix
 }
 
 void Framebuffer::CopyRect(int32_t src_x, int32_t src_y, const Rect& dst) {
-  if (dst.empty()) {
+  const Rect d = Intersect(dst, bounds());
+  if (d.empty()) {
     return;
   }
-  // Stage through a temporary so overlapping copies behave like a simultaneous move; this
-  // matches hardware blitters that pick a copy direction, and is trivially overlap-safe.
-  std::vector<Pixel> staged;
-  ReadPixels(Rect{src_x, src_y, dst.w, dst.h}, &staged);
-  SetPixels(dst, staged);
+  // Source origin of the clipped destination. In int64 so that no caller's offset can
+  // overflow; the source columns that land inside the frame are [lo, hi).
+  const int64_t sx = int64_t{src_x} + (d.x - int64_t{dst.x});
+  const int64_t sy = int64_t{src_y} + (d.y - int64_t{dst.y});
+  const int64_t lo = std::clamp<int64_t>(sx, 0, width_);
+  const int64_t hi = std::clamp<int64_t>(sx + d.w, lo, width_);
+  const size_t inside = static_cast<size_t>(hi - lo);
+  // Destination pixels whose source lies left of the frame; they turn black.
+  const size_t left = inside > 0 ? static_cast<size_t>(lo - sx) : 0;
+  // A row is read before any row that could overwrite it is written: bottom-up when the
+  // source lies above the destination, top-down otherwise. memmove handles the overlap
+  // within a row, and the black edges are written after it, since they may cover source
+  // pixels of that same row.
+  const bool bottom_up = sy < d.y;
+  for (int32_t i = 0; i < d.h; ++i) {
+    const int32_t y = bottom_up ? d.bottom() - 1 - i : d.y + i;
+    Pixel* out = &data_[static_cast<size_t>(y) * width_ + d.x];
+    const int64_t src_row = sy + (y - d.y);
+    if (src_row < 0 || src_row >= height_ || inside == 0) {
+      std::fill(out, out + d.w, kBlack);
+      continue;
+    }
+    std::memmove(out + left, &data_[static_cast<size_t>(src_row) * width_ + lo],
+                 inside * sizeof(Pixel));
+    std::fill(out, out + left, kBlack);
+    std::fill(out + left + inside, out + d.w, kBlack);
+  }
 }
 
 void Framebuffer::ReadPixels(const Rect& r, std::vector<Pixel>* out) const {

@@ -50,8 +50,9 @@ class Framebuffer {
   // to whole bytes (stride = (w+7)/8), bit 7 of each byte is the leftmost pixel.
   void ExpandBitmap(const Rect& r, std::span<const uint8_t> bits, Pixel fg, Pixel bg);
 
-  // Copies the w*h block at (src_x, src_y) to dst (overlap-safe). Source pixels outside the
-  // framebuffer are treated as black.
+  // Copies the w*h block at (src_x, src_y) to dst, clipped to the framebuffer, as if the
+  // whole block were read before any of it is written (overlap-safe). Source pixels
+  // outside the framebuffer are treated as black. Rows move in place, one memmove each.
   void CopyRect(int32_t src_x, int32_t src_y, const Rect& dst);
 
   // Reads back a rectangle (clipped); out is resized to r.w * r.h with black outside bounds.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/apps/content.h"
 #include "src/codec/decoder.h"
 #include "src/codec/encoder.h"
@@ -173,6 +175,15 @@ TEST(DecoderTest, ApplyRejectsCopyReadingOutsideTheFramebuffer) {
   EXPECT_EQ(fb.ContentHash(), before);
   CopyCommand negative{-1, 0, Rect{4, 4, 8, 8}};
   EXPECT_FALSE(ApplyCommand(DisplayCommand(negative), &fb));
+  EXPECT_EQ(fb.ContentHash(), before);
+  // Rect ends that overflow int32: the source check must not wrap around to "inside", and
+  // a destination far off the frame is still malformed, not merely clipped away.
+  constexpr int32_t kNearMax = std::numeric_limits<int32_t>::max() - 4;
+  CopyCommand wrapping_src{kNearMax, 0, Rect{0, 0, 16, 1}};
+  EXPECT_FALSE(ApplyCommand(DisplayCommand(wrapping_src), &fb));
+  EXPECT_EQ(fb.ContentHash(), before);
+  FillCommand wrapping_dst{Rect{kNearMax, 0, 16, 1}, kWhite};
+  EXPECT_FALSE(ApplyCommand(DisplayCommand(wrapping_dst), &fb));
   EXPECT_EQ(fb.ContentHash(), before);
   CopyCommand good{0, 0, Rect{16, 16, 8, 8}};
   EXPECT_TRUE(ApplyCommand(DisplayCommand(good), &fb));

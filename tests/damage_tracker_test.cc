@@ -18,6 +18,7 @@
 #include "src/codec/damage_tracker.h"
 #include "src/codec/decoder.h"
 #include "src/codec/encoder.h"
+#include "src/codec/row_hash.h"
 #include "src/console/console.h"
 #include "src/net/fabric.h"
 #include "src/server/slim_server.h"
@@ -275,6 +276,27 @@ TEST(DamageTrackerTest, EnvOverrideParsesLikeTheOtherKnobs) {
   EXPECT_FALSE(DamageTrackerFromEnv(false));
   ASSERT_EQ(unsetenv("SLIM_DAMAGE_TRACKER"), 0);
   EXPECT_TRUE(DamageTrackerFromEnv(true));
+}
+
+// Refinement compares pixels, never hashes: these two rows share a RowHash64, and a
+// tracker that filtered rows by hash would drop the second write (the console would keep
+// showing the first row).
+TEST(DamageTrackerTest, RowHashCollisionIsStillRefined) {
+  const std::vector<Pixel> first{0xf8f238, 0x816329, 0x008e3b, 0, 0, 0, 0, 0};
+  const std::vector<Pixel> second{0xaeae38, 0x36a729, 0x008e3b, 0, 0, 0, 0, 0};
+  ASSERT_EQ(RowHash64(first), 0x0487934b51f4b04eull);
+  ASSERT_EQ(RowHash64(second), 0x0487934b51f4b04eull);
+
+  const Rect row0{0, 0, 8, 1};
+  Framebuffer fb(8, 16);
+  DamageTracker tracker(8, 16);
+  fb.SetPixels(row0, first);
+  EXPECT_FALSE(tracker.Refine(fb, Region(fb.bounds())).empty());
+  fb.SetPixels(row0, second);
+  const Region refined = tracker.Refine(fb, Region(row0));
+  EXPECT_TRUE(refined.Contains(Point{0, 0}));
+  EXPECT_TRUE(refined.Contains(Point{1, 0}));
+  EXPECT_EQ(tracker.shadow().GetPixel(0, 0), second[0]);
 }
 
 // --- Session-level contracts ---

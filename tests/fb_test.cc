@@ -228,6 +228,42 @@ TEST(FramebufferTest, CopyFromOutsideBoundsReadsBlack) {
   EXPECT_EQ(fb.GetPixel(0, 0), kBlack);
 }
 
+// CopyRect against a snapshot taken before the call: each destination pixel inside the
+// frame takes the snapshot's pixel at its source position (black off the frame), and
+// nothing else changes. The random cases cover vertical overlap in both directions,
+// diagonal moves, and destinations and sources that hang partly off the frame.
+TEST(FramebufferTest, CopyRectMatchesSnapshotReference) {
+  Rng rng(4040);
+  const auto between = [&rng](int32_t lo, int32_t hi) {
+    return static_cast<int32_t>(rng.NextInRange(lo, hi));
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int32_t w = between(1, 40);
+    const int32_t h = between(1, 40);
+    Framebuffer fb(w, h);
+    for (int32_t y = 0; y < h; ++y) {
+      for (int32_t x = 0; x < w; ++x) {
+        fb.PutPixel(x, y, static_cast<Pixel>(rng.NextU64() & 0xffffff));
+      }
+    }
+    const Rect dst{between(-8, w), between(-8, h), between(1, w + 8), between(1, h + 8)};
+    const int32_t src_x = dst.x + between(-12, 12);
+    const int32_t src_y = dst.y + between(-12, 12);
+    const Framebuffer before = fb;
+    fb.CopyRect(src_x, src_y, dst);
+    for (int32_t y = 0; y < h; ++y) {
+      for (int32_t x = 0; x < w; ++x) {
+        const Pixel expected = dst.Contains(Point{x, y})
+                                   ? before.GetPixel(src_x + (x - dst.x), src_y + (y - dst.y))
+                                   : before.GetPixel(x, y);
+        ASSERT_EQ(fb.GetPixel(x, y), expected)
+            << "trial " << trial << " frame " << w << "x" << h << " dst " << dst.ToString()
+            << " src (" << src_x << "," << src_y << ") at (" << x << "," << y << ")";
+      }
+    }
+  }
+}
+
 TEST(FramebufferTest, ContentHashDetectsAnySinglePixelChange) {
   Framebuffer a(64, 64);
   Framebuffer b(64, 64);
