@@ -14,7 +14,8 @@ namespace {
 
 constexpr uint8_t kFragmentMagic = 0x5f;
 constexpr uint8_t kBatchMagic = 0x5e;
-// Every datagram: magic, then a u32 FNV-1a checksum of everything after the checksum field.
+// Every datagram: magic, then the u32 FrameChecksum32 of the magic and of everything after
+// the checksum field.
 constexpr size_t kChecksumBytes = 4;
 // Fragment datagram: magic, checksum, index, count, msg_seq.
 constexpr size_t kFragmentHeaderBytes = 1 + kChecksumBytes + 2 + 2 + 8;
@@ -35,7 +36,8 @@ constexpr int kNackMaxStrikes = 6;
 // [magic][checksum placeholder][covered bytes...].
 std::vector<uint8_t> SealDatagram(ByteWriter w) {
   std::vector<uint8_t> bytes = w.Take();
-  const uint32_t sum = Fnv1a32(std::span<const uint8_t>(bytes).subspan(1 + kChecksumBytes));
+  const uint32_t sum =
+      FrameChecksum32(bytes[0], std::span<const uint8_t>(bytes).subspan(1 + kChecksumBytes));
   for (size_t i = 0; i < kChecksumBytes; ++i) {
     bytes[1 + i] = static_cast<uint8_t>(sum >> (8 * i));
   }
@@ -260,8 +262,9 @@ void SlimEndpoint::OnDatagram(Datagram dgram) {
   if (dead_) {
     return;  // a killed server hears nothing
   }
-  // Framing gate: everything after [magic][checksum] must hash to the checksum. A flipped
-  // bit, a chopped tail or a stray datagram is counted and dropped here, never parsed.
+  // Framing gate: the magic and everything after [magic][checksum] must hash to the
+  // checksum. A flipped bit (in the magic too), a chopped tail or a stray datagram is
+  // counted and dropped here, never parsed.
   ByteReader r(dgram.payload);
   const uint8_t magic = r.U8();
   if (!r.ok() || (magic != kFragmentMagic && magic != kBatchMagic)) {
@@ -269,7 +272,7 @@ void SlimEndpoint::OnDatagram(Datagram dgram) {
     return;
   }
   const uint32_t checksum = r.U32();
-  if (!r.ok() || Fnv1a32(r.Rest()) != checksum) {
+  if (!r.ok() || FrameChecksum32(magic, r.Rest()) != checksum) {
     ++stats_.datagrams_corrupted;
     return;
   }

@@ -5,9 +5,12 @@
 // sequence gaps trigger a NACK asking the sender to replay from its bounded history —
 // application-specific recovery that works because every SLIM message is idempotent.
 //
-// Every datagram carries a framing checksum, so a fabric that corrupts or truncates bytes
-// (see FaultProfile) produces counted drops — which the NACK path then repairs — rather
-// than garbage pixels. Partial reassembly contexts expire on a timeout, duplicate
+// Every datagram carries a framing checksum (FrameChecksum32, src/protocol/wire.h) over its
+// magic byte and everything after the checksum field, so a fabric that corrupts or
+// truncates bytes (see FaultProfile) produces counted drops — which the NACK path then
+// repairs — rather than garbage pixels. A single-byte error anywhere in a datagram, the
+// magic included, is caught with certainty; wider errors and truncations slip through
+// with probability about 2^-32. Partial reassembly contexts expire on a timeout, duplicate
 // suppression extends below its window via an eviction floor, and NACKs for a range that
 // keeps failing back off exponentially.
 
@@ -44,7 +47,8 @@ struct TransportStats {
   int64_t nacks_sent = 0;
   int64_t replays_sent = 0;
   // Inbound datagrams rejected by the framing checksum (or carrying an unknown magic):
-  // corruption and truncation land here instead of being parsed as protocol bytes.
+  // corruption and truncation, including a flip that turns one known magic into the
+  // other, land here instead of being parsed as protocol bytes.
   int64_t datagrams_corrupted = 0;
   // Partial reassembly contexts abandoned because no fragment arrived within
   // reassembly_timeout (the rest of the message was lost; NACK replay re-sends it whole).

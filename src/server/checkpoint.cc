@@ -13,49 +13,41 @@ namespace {
 // allocation: the largest session geometry anyone simulates is well under 16k x 16k.
 constexpr int32_t kMaxDimension = 16384;
 
-void WritePixels(ByteWriter& w, std::span<const Pixel> pixels) {
-  for (const Pixel p : pixels) {
-    w.U32(p);
-  }
-}
-
-bool ReadPixels(ByteReader& r, size_t n, std::vector<Pixel>* out) {
-  out->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*out)[i] = r.U32();
-  }
-  return r.ok();
-}
+// Blob layout sizes: the header (magic, version, body length), and the body's fixed
+// fields around the pixels (identity and geometry, then 8 counters and 5 x 4 encode stats).
+constexpr size_t kHeaderBytes = 4 + 4 + 8;
+constexpr size_t kBodyFixedBytes = (4 + 8 + 4 + 4) + 8 * 8 + 5 * 4 * 8;
 
 }  // namespace
 
 std::vector<uint8_t> EncodeCheckpoint(const SessionCheckpoint& ckpt) {
-  ByteWriter body;
-  body.U32(ckpt.origin_session);
-  body.U64(ckpt.card_id);
-  body.I32(ckpt.width);
-  body.I32(ckpt.height);
-  WritePixels(body, ckpt.fb_pixels);
-  body.I64(ckpt.video_deferred);
-  body.I64(ckpt.video_dropped);
-  body.I64(ckpt.coalesced_flushes);
-  body.I64(ckpt.commands_sent);
-  body.I64(ckpt.bytes_sent);
-  body.I64(ckpt.render_time);
-  body.I64(ckpt.encode_time);
-  body.I64(ckpt.wire_time);
-  for (int t = 1; t < 6; ++t) {
-    body.I64(ckpt.encode_stats[t].commands);
-    body.I64(ckpt.encode_stats[t].wire_bytes);
-    body.I64(ckpt.encode_stats[t].uncompressed_bytes);
-    body.I64(ckpt.encode_stats[t].pixels);
-  }
-
+  // Header and body go into one buffer sized exactly, with the pixels as one bulk copy.
+  const size_t body_bytes = kBodyFixedBytes + ckpt.fb_pixels.size() * sizeof(Pixel);
   ByteWriter w;
+  w.Reserve(kHeaderBytes + body_bytes);
   w.U32(kCheckpointMagic);
   w.U32(kCheckpointVersion);
-  w.U64(static_cast<uint64_t>(body.size()));
-  w.Bytes(body.data());
+  w.U64(static_cast<uint64_t>(body_bytes));
+  w.U32(ckpt.origin_session);
+  w.U64(ckpt.card_id);
+  w.I32(ckpt.width);
+  w.I32(ckpt.height);
+  w.U32s(ckpt.fb_pixels);
+  w.I64(ckpt.video_deferred);
+  w.I64(ckpt.video_dropped);
+  w.I64(ckpt.coalesced_flushes);
+  w.I64(ckpt.commands_sent);
+  w.I64(ckpt.bytes_sent);
+  w.I64(ckpt.render_time);
+  w.I64(ckpt.encode_time);
+  w.I64(ckpt.wire_time);
+  for (int t = 1; t < 6; ++t) {
+    w.I64(ckpt.encode_stats[t].commands);
+    w.I64(ckpt.encode_stats[t].wire_bytes);
+    w.I64(ckpt.encode_stats[t].uncompressed_bytes);
+    w.I64(ckpt.encode_stats[t].pixels);
+  }
+  SLIM_CHECK(w.size() == kHeaderBytes + body_bytes);
   return w.Take();
 }
 
@@ -89,9 +81,8 @@ std::optional<SessionCheckpoint> DecodeCheckpoint(std::span<const uint8_t> blob)
   if (r.remaining() < pixel_count * sizeof(Pixel)) {
     return std::nullopt;
   }
-  if (!ReadPixels(r, pixel_count, &ckpt.fb_pixels)) {
-    return std::nullopt;
-  }
+  ckpt.fb_pixels.resize(pixel_count);
+  r.U32s(ckpt.fb_pixels);
   ckpt.video_deferred = r.I64();
   ckpt.video_dropped = r.I64();
   ckpt.coalesced_flushes = r.I64();

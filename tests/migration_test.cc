@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/apps/content.h"
@@ -84,6 +85,37 @@ SessionCheckpoint SyntheticCheckpoint() {
 TEST(CheckpointTest, EncodeDecodeRoundTripIsExact) {
   const SessionCheckpoint ckpt = SyntheticCheckpoint();
   const std::vector<uint8_t> blob = EncodeCheckpoint(ckpt);
+  const std::optional<SessionCheckpoint> decoded = DecodeCheckpoint(blob);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, ckpt);
+}
+
+TEST(CheckpointTest, BlobBytesArePinned) {
+  // A 3x2 frame of distinct pixels plus the synthetic counters, captured from the
+  // per-pixel U32 encoder: the bulk pixel copy must keep every pixel a little-endian u32.
+  SessionCheckpoint ckpt = SyntheticCheckpoint();
+  ckpt.width = 3;
+  ckpt.height = 2;
+  ckpt.fb_pixels = {0x00112233u, 0x44556677u, 0x8899aabbu,
+                    0xccddeeffu, 0x01234567u, 0x89abcdefu};
+  const char* const kPinned =
+      "4b434c53020000000c0100000000000007000000fecaefbeadde000003000000"
+      "020000003322110077665544bbaa9988ffeeddcc67452301efcdab8903000000"
+      "0000000001000000000000000900000000000000d20400000000000052aa0800"
+      "00000000001bb7000000000080cc060200000000007e5603000000000a000000"
+      "000000006400000000000000e803000000000000102700000000000014000000"
+      "00000000c800000000000000d007000000000000204e0000000000001e000000"
+      "000000002c01000000000000b80b000000000000307500000000000028000000"
+      "000000009001000000000000a00f000000000000409c00000000000032000000"
+      "00000000f401000000000000881300000000000050c3000000000000";
+  const std::vector<uint8_t> blob = EncodeCheckpoint(ckpt);
+  std::string hex;
+  for (const uint8_t byte : blob) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  EXPECT_EQ(hex, kPinned);
   const std::optional<SessionCheckpoint> decoded = DecodeCheckpoint(blob);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, ckpt);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/net/fabric.h"
 #include "src/net/transport.h"
 #include "src/protocol/wire.h"
@@ -23,7 +25,7 @@ std::vector<uint8_t> FrameFragment(uint16_t index, uint16_t count, uint64_t msg_
   w.U64(msg_seq);
   w.Bytes(payload);
   std::vector<uint8_t> bytes = w.Take();
-  const uint32_t sum = Fnv1a32(std::span<const uint8_t>(bytes).subspan(5));
+  const uint32_t sum = FrameChecksum32(bytes[0], std::span<const uint8_t>(bytes).subspan(5));
   for (int i = 0; i < 4; ++i) {
     bytes[1 + i] = static_cast<uint8_t>(sum >> (8 * i));
   }
@@ -400,21 +402,138 @@ TEST(TransportTest, ChecksumRejectsFlippedAndTruncatedBytes) {
 
   int received = 0;
   b.set_handler([&](const Message&, NodeId) { ++received; });
-  for (size_t flip = 1; flip < genuine.size(); ++flip) {
+  for (size_t flip = 0; flip < genuine.size(); ++flip) {
     std::vector<uint8_t> bent = genuine;
     bent[flip] ^= 0x40;
     fabric.Send(Datagram{a.node(), b.node(), std::move(bent)});
   }
   std::vector<uint8_t> chopped(genuine.begin(), genuine.end() - 3);
   fabric.Send(Datagram{a.node(), b.node(), std::move(chopped)});
+  // One bit turns the fragment magic 0x5f into the batch magic 0x5e: the checksum covers
+  // the magic, so this is corruption too, not a batch that fails to parse.
+  std::vector<uint8_t> as_batch = genuine;
+  as_batch[0] ^= 0x01;
+  ASSERT_EQ(as_batch[0], 0x5e);
+  fabric.Send(Datagram{a.node(), b.node(), std::move(as_batch)});
   sim.Run();
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(b.stats().datagrams_corrupted, static_cast<int64_t>(genuine.size() - 1) + 1);
+  EXPECT_EQ(b.stats().datagrams_corrupted, static_cast<int64_t>(genuine.size()) + 2);
+  EXPECT_EQ(b.stats().reassembly_failures, 0);
 
   // The unmutated original still parses (same seq namespace, fresh endpoint state).
   fabric.Send(Datagram{a.node(), b.node(), genuine});
   sim.Run();
   EXPECT_EQ(received, 1);
+}
+
+// True when `dgram`'s stamped checksum matches its magic and covered bytes, the test the
+// framing gate applies.
+bool ChecksumMatches(std::span<const uint8_t> dgram) {
+  if (dgram.size() < 5) {
+    return false;
+  }
+  uint32_t stamped = 0;
+  for (int i = 0; i < 4; ++i) {
+    stamped |= static_cast<uint32_t>(dgram[1 + i]) << (8 * i);
+  }
+  return FrameChecksum32(dgram[0], dgram.subspan(5)) == stamped;
+}
+
+TEST(TransportTest, ChecksumCatchesEveryByteErrorAndTruncationOfRealDatagrams) {
+  // Three real datagrams: a one-fragment key event, a full-MTU checkpoint-chunk fragment
+  // and a batch. Every XOR value at every offset and every truncation must fail the
+  // checksum; a sample of them must also land in datagrams_corrupted at a live endpoint.
+  Simulator sim;
+  Fabric fabric(&sim, {});
+  EndpointOptions batching;
+  batching.enable_batching = true;
+  SlimEndpoint plain(&fabric, fabric.AddNode());
+  SlimEndpoint batcher(&fabric, fabric.AddNode(), batching);
+  SlimEndpoint b(&fabric, fabric.AddNode());
+  const NodeId tap = fabric.AddNode();
+  std::vector<std::vector<uint8_t>> captured;
+  fabric.SetReceiver(tap, [&](Datagram d) { captured.push_back(std::move(d.payload)); });
+
+  plain.Send(tap, 1, KeyEventMsg{7, true});
+  sim.Run();
+  ASSERT_EQ(captured.size(), 1u);
+  const std::vector<uint8_t> key_event = captured[0];
+
+  captured.clear();
+  CheckpointChunkMsg chunk;
+  chunk.epoch = 3;
+  chunk.count = 1;
+  chunk.data.resize(2 * kMtuBytes);
+  for (size_t i = 0; i < chunk.data.size(); ++i) {
+    chunk.data[i] = static_cast<uint8_t>(i * 151 + 29);
+  }
+  plain.Send(tap, 1, chunk);
+  sim.Run();
+  ASSERT_GE(captured.size(), 2u);
+  const std::vector<uint8_t> chunk_fragment = captured[0];
+  ASSERT_EQ(chunk_fragment.size(), static_cast<size_t>(kMtuBytes));
+
+  captured.clear();
+  for (int key = 1; key <= 3; ++key) {
+    batcher.Send(tap, 1, KeyEventMsg{static_cast<uint32_t>(key), true});
+  }
+  sim.Run();
+  ASSERT_EQ(captured.size(), 1u);
+  const std::vector<uint8_t> batch = captured[0];
+  ASSERT_EQ(batch[0], 0x5e);
+
+  int received = 0;
+  b.set_handler([&](const Message&, NodeId) { ++received; });
+  int64_t sent_bad = 0;
+  const auto send_to_b = [&](std::vector<uint8_t> bytes, NodeId src) {
+    fabric.Send(Datagram{src, b.node(), std::move(bytes)});
+    sim.Run();  // one at a time, so full-MTU datagrams never overflow the switch queue
+  };
+  for (const std::vector<uint8_t>* genuine : {&key_event, &chunk_fragment, &batch}) {
+    ASSERT_TRUE(ChecksumMatches(*genuine));
+    std::vector<uint8_t> bent = *genuine;
+    int64_t escapes = 0;
+    std::string first_escape;
+    const auto escaped = [&](std::string what) {
+      if (escapes++ == 0) {
+        first_escape = std::move(what);
+      }
+    };
+    for (size_t offset = 0; offset < bent.size(); ++offset) {
+      for (int x = 1; x <= 255; ++x) {
+        bent[offset] ^= static_cast<uint8_t>(x);
+        if (ChecksumMatches(bent)) {
+          escaped("byte " + std::to_string(offset) + " ^ " + std::to_string(x));
+        }
+        if (offset % 97 == 0 && (x == 1 || x == 0x80 || x == 0xff)) {
+          send_to_b(bent, plain.node());
+          ++sent_bad;
+        }
+        bent[offset] ^= static_cast<uint8_t>(x);
+      }
+    }
+    for (size_t len = 0; len < genuine->size(); ++len) {
+      const std::span<const uint8_t> prefix(genuine->data(), len);
+      if (ChecksumMatches(prefix)) {
+        escaped("truncation to " + std::to_string(len) + " bytes");
+      }
+      if (len % 61 == 0) {
+        send_to_b(std::vector<uint8_t>(prefix.begin(), prefix.end()), plain.node());
+        ++sent_bad;
+      }
+    }
+    EXPECT_EQ(escapes, 0) << "in a " << genuine->size() << "-byte datagram, first: "
+                          << first_escape;
+  }
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(b.stats().datagrams_corrupted, sent_bad);
+  EXPECT_EQ(b.stats().reassembly_failures, 0);
+
+  // The genuine key event and batch still deliver (the chunk fragment alone is an
+  // incomplete message).
+  send_to_b(key_event, plain.node());
+  send_to_b(batch, batcher.node());
+  EXPECT_EQ(received, 4);
 }
 
 TEST(TransportTest, StaleReplayBelowDedupWindowIsStillSuppressed) {

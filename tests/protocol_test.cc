@@ -56,6 +56,59 @@ TEST(WireTest, OkStaysFalseAfterFailure) {
   EXPECT_EQ(r.U8(), 0);  // subsequent reads also return zero
 }
 
+TEST(WireTest, BulkU32sMatchPerElementLayout) {
+  const std::vector<uint32_t> values{0x04030201u, 0xdeadbeefu, 0, 0xffffffffu};
+  ByteWriter each;
+  for (const uint32_t v : values) {
+    each.U32(v);
+  }
+  ByteWriter bulk;
+  bulk.U8(0x7e);  // an odd offset, as the words sit inside a real blob
+  bulk.U32s(values);
+  const std::vector<uint8_t> bytes = bulk.Take();
+  EXPECT_EQ(std::vector<uint8_t>(bytes.begin() + 1, bytes.end()), each.data());
+
+  ByteReader r(bytes);
+  r.U8();
+  std::vector<uint32_t> back(values.size());
+  r.U32s(back);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(back, values);
+
+  // One word short: not ok, and the output reads as zeros like every other short read.
+  ByteReader short_read(std::span<const uint8_t>(bytes).subspan(0, bytes.size() - 1));
+  short_read.U8();
+  short_read.U32s(back);
+  EXPECT_FALSE(short_read.ok());
+  EXPECT_EQ(back, std::vector<uint32_t>(values.size(), 0));
+}
+
+// The framing checksum's values go on the wire, so they are pinned: a compiler, a host's
+// byte order or a rewrite that changes one fails here. The lengths cover the empty input,
+// a zero-padded tail word, whole words, one 32-byte block and a full fragment payload.
+TEST(WireTest, FrameChecksumGoldenValues) {
+  struct Golden {
+    size_t size;
+    uint32_t fragment;  // magic 0x5f
+    uint32_t batch;     // magic 0x5e
+  };
+  const Golden goldens[] = {
+      {0, 0x1e47e794u, 0xe8d0a797u},    {1, 0x92c15ea5u, 0x91ed7c12u},
+      {3, 0xf240243du, 0x9b2539acu},    {4, 0x9cc21785u, 0x45a529a6u},
+      {5, 0x32417495u, 0x1c3f90f7u},    {31, 0x3edad83du, 0x0ceea3d6u},
+      {32, 0xdf2fb544u, 0x3663d2f9u},   {33, 0xdc37d1a9u, 0x3e5c251bu},
+      {1485, 0x80d5a772u, 0xd7f76a89u},
+  };
+  for (const Golden& g : goldens) {
+    std::vector<uint8_t> input(g.size);
+    for (size_t i = 0; i < input.size(); ++i) {
+      input[i] = static_cast<uint8_t>(i * 37 + 11);
+    }
+    EXPECT_EQ(FrameChecksum32(0x5f, input), g.fragment) << g.size << " bytes";
+    EXPECT_EQ(FrameChecksum32(0x5e, input), g.batch) << g.size << " bytes";
+  }
+}
+
 Message RoundTrip(const Message& msg) {
   const auto bytes = SerializeMessage(msg);
   EXPECT_EQ(bytes.size(), MessageWireSize(msg));
