@@ -232,9 +232,9 @@ int main() {
               "DESIGN.md section 5 (design-choice index)");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("ablation_encoder",
-                       "Encoder heuristics, granularity, CSCS depth, transport, allocator");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport(
+      "ablation_encoder", "Encoder heuristics, granularity, CSCS depth, transport, allocator");
   EncoderHeuristicAblation(&report);
   GranularityAblation();
   CscsDepthAblation();

@@ -10,7 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/apps/benchmark_apps.h"
@@ -19,7 +19,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/latency_audit.h"
 #include "src/obs/metrics.h"
-#include "src/obs/stats_stream.h"
 #include "src/server/slim_server.h"
 #include "src/sim/simulator.h"
 #include "src/util/table.h"
@@ -39,21 +38,23 @@ int main() {
               "Schmidt et al., SOSP'99, Section 2.2 (error recovery)");
   // SLIM_TRACE=out.json captures the recovery machinery as a Chrome trace: NACK instants,
   // replay stalls (missing-seq -> replayed/given-up spans) and the decode pipeline.
-  ScopedTraceFromEnv trace;
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
   // When SLIM_TRACE is off, the flight recorder's ring buffer stands in as the global
   // tracer so SLO breaches can still dump the last few thousand events as a Chrome trace.
   ScopedFlightRecorder flight;
-  BenchReporter report("chaos_soak", "Session recovery under fabric fault injection");
+  BenchReporter report = HarnessReport("chaos_soak",
+                                       "Session recovery under fabric fault injection");
 
   const int events = EnvInt("SLIM_SOAK_EVENTS", 300);
   report.Knob("SLIM_SOAK_EVENTS", events);
   // Flight dumps land next to the bench report by default so a default soak run leaves
   // inspectable evidence for every breach (SLIM_FLIGHT_DIR overrides).
-  LatencyAuditOptions audit_options = LatencyAudit::OptionsFromEnv();
-  if (audit_options.flight_dir.empty()) {
-    const char* bench_dir = std::getenv("SLIM_BENCH_DIR");
-    audit_options.flight_dir = (bench_dir != nullptr && *bench_dir != '\0') ? bench_dir : ".";
+  std::string flight_dir = EnvPath("SLIM_FLIGHT_DIR");
+  if (flight_dir.empty()) {
+    flight_dir = EnvPath("SLIM_BENCH_DIR");
   }
+  LatencyAuditOptions audit_options;
+  audit_options.flight_dir = flight_dir.empty() ? std::string(".") : flight_dir;
   int64_t total_breaches = 0;
   int64_t total_flight_dumps = 0;
   std::vector<ProfileRow> rows;
@@ -109,7 +110,7 @@ int main() {
     LatencyAudit::SetGlobal(&audit);
     // SLIM_STATS_JSONL=<path> streams this registry for `slimtop -f` (each profile rewrites
     // the file, so the surviving stream is the sickest fabric's).
-    auto streamer = MaybeStreamStatsFromEnv(&sim, &registry);
+    auto streamer = MaybeStreamStats(&sim, &registry);
     const uint64_t card = server.auth().IssueCard(1);
     ServerSession& session = server.CreateSession(card);
     auto app = MakeApplication(AppKind::kPim, &session, 1234);

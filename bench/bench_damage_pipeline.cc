@@ -5,7 +5,7 @@
 // Every frame a terminal-like screen scrolls up one text line and paints a fresh line at
 // the bottom, then reports the WHOLE frame damaged. Two pipelines consume the identical
 // frame sequence:
-//   baseline  — the encoder analyzes the full damage, as a tracker-less session would;
+//   baseline  — the encoder alone analyzes the full damage (the tracker's ablation);
 //   refined   — DamageTracker::Refine trims it (salvaging the scroll as one COPY), and
 //               the encoder only sees the residual.
 // Both streams are applied to replica framebuffers and CHECKed for bit-exact convergence,
@@ -24,11 +24,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/codec/damage_tracker.h"
 #include "src/codec/decoder.h"
 #include "src/codec/encoder.h"
-#include "src/obs/bench_report.h"
-#include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 
@@ -132,10 +131,10 @@ int main() {
 
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("damage_pipeline",
-                       "Shadow-frame damage refinement vs full-damage encoding on a "
-                       "scroll-heavy workload");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("damage_pipeline",
+                                       "Shadow-frame damage refinement vs full-damage "
+                                       "encoding on a scroll-heavy workload");
   report.Knob("SLIM_DP_FRAMES", frames);
   report.Knob("SLIM_DP_WIDTH", width);
   report.Knob("SLIM_DP_HEIGHT", height);

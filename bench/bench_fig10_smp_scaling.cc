@@ -45,8 +45,8 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 10");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig10_smp_scaling", "SMP scaling, Netscape users per CPU");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig10_smp_scaling", "SMP scaling, Netscape users per CPU");
   const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", 60));
 
   const int cpu_configs[] = {1, 2, 4, 8};

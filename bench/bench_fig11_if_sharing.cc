@@ -63,8 +63,9 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 11");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig11_if_sharing", "Round-trip latency vs users sharing the IF");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig11_if_sharing",
+                                       "Round-trip latency vs users sharing the IF");
   const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", 60));
 
   struct Sweep {

@@ -135,8 +135,9 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 12 / Section 6.3");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig12_case_studies", "Day-long load profiles of two installations");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig12_case_studies",
+                                       "Day-long load profiles of two installations");
   Report(&report, "site_a", "Site A: university lab (E250-class)", /*lab=*/true, 2, 50,
          0xa11);
   Report(&report, "site_b", "Site B: product development (E4500-class)", /*lab=*/false, 8,

@@ -17,8 +17,8 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 2");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig2_input_rates", "CDF of user input event frequency");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig2_input_rates", "CDF of user input event frequency");
 
   TextTable table({"Application", "events", ">28Hz (paper <1%)", "<10Hz (paper ~70%)",
                    ">=1s apart (NS/PS >> FM/PIM)", "median Hz"});

@@ -17,8 +17,9 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 3");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig3_pixel_updates", "CDF of pixels changed per input event");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig3_pixel_updates",
+                                       "CDF of pixels changed per input event");
 
   TextTable table({"Application", "events", "median px", "<10Kpx (paper ~50%+)",
                    ">10Kpx", ">50Kpx (NS/PS ~30%)"});

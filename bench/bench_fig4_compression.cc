@@ -18,8 +18,9 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 4");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig4_compression", "Efficiency of SLIM protocol display commands");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig4_compression",
+                                       "Efficiency of SLIM protocol display commands");
 
   for (int k = 0; k < kAppKindCount; ++k) {
     const auto kind = static_cast<AppKind>(k);

@@ -16,8 +16,9 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 5");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig5_bytes_per_event", "CDF of SLIM protocol bytes per input event");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig5_bytes_per_event",
+                                       "CDF of SLIM protocol bytes per input event");
 
   TextTable table({"Application", "median B", ">1KB (FM/PIM ~17%)", ">10KB (NS/PS ~25%)",
                    ">50KB (NS/PS ~5%)", "p95 tx delay @100Mbps"});

@@ -88,9 +88,9 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 6 / Section 5.4");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig6_bandwidth_scaling",
-                       "Added packet delays at reduced link bandwidth");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig6_bandwidth_scaling",
+                                       "Added packet delays at reduced link bandwidth");
 
   // Capture Netscape traces at 100 Mbps; each user's connection is shaped independently
   // (the home-connection scenario the paper simulates).

@@ -17,9 +17,9 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 7");
   // SLIM_TRACE=out.json captures the full pipeline (input dispatch -> render/encode ->
   // transport -> console decode/present) as a Chrome trace across every study session.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig7_service_times",
-                       "CDF of display update service times at the console");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig7_service_times",
+                                       "CDF of display update service times at the console");
 
   TextTable table({"Application", "updates", "median", "<50ms (paper ~80%+)", ">100ms",
                    "p99"});

@@ -17,8 +17,9 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 8");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig8_avg_bandwidth", "Average bandwidth: X vs SLIM vs raw pixels");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig8_avg_bandwidth",
+                                       "Average bandwidth: X vs SLIM vs raw pixels");
 
   TextTable table({"Application", "X (Mbps)", "SLIM (Mbps)", "Raw pixels (Mbps)",
                    "X/SLIM", "Raw/SLIM"});

@@ -48,8 +48,9 @@ int main() {
               "Schmidt et al., SOSP'99, Figure 9");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("fig9_cpu_sharing", "Added yardstick latency vs active users");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("fig9_cpu_sharing",
+                                       "Added yardstick latency vs active users");
   const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", 60));
 
   const int counts[] = {0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 48};

@@ -28,11 +28,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/codec/kernels/kernels.h"
 #include "src/codec/row_hash.h"
 #include "src/color/yuv.h"
-#include "src/obs/bench_report.h"
-#include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 
@@ -146,10 +145,9 @@ int main() {
   const int rows = EnvInt("SLIM_KB_ROWS", 2048);
   const int reps = EnvInt("SLIM_KB_REPS", 9);
 
-  ScopedTraceFromEnv trace;
-  BenchReporter report("kernels",
-                       "Per-tier throughput and cross-tier parity of the SIMD pixel "
-                       "kernels");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport(
+      "kernels", "Per-tier throughput and cross-tier parity of the SIMD pixel kernels");
   report.Knob("SLIM_KB_WIDTH", width);
   report.Knob("SLIM_KB_ROWS", rows);
   report.Knob("SLIM_KB_REPS", reps);

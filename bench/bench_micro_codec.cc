@@ -6,8 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_util.h"
 #include "src/apps/content.h"
-#include "src/obs/bench_report.h"
 #include "src/codec/decoder.h"
 #include "src/codec/encoder.h"
 #include "src/color/yuv.h"
@@ -173,7 +173,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  slim::BenchReporter report("micro_codec", "Wall-clock micro-benchmarks of the hot paths");
+  slim::BenchReporter report =
+      slim::HarnessReport("micro_codec", "Wall-clock micro-benchmarks of the hot paths");
   slim::CapturingReporter reporter(&report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

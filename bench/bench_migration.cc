@@ -17,13 +17,12 @@
 #include <memory>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/apps/content.h"
 #include "src/console/console.h"
 #include "src/net/fabric.h"
-#include "src/obs/bench_report.h"
 #include "src/obs/metrics.h"
 #include "src/obs/stats_stream.h"
-#include "src/obs/trace.h"
 #include "src/server/checkpoint.h"
 #include "src/server/migration.h"
 #include "src/server/session.h"
@@ -64,7 +63,7 @@ struct World {
     // the surviving stream is the last rep's).
     server_a->RegisterMetrics(&registry, "server_a");
     server_b->RegisterMetrics(&registry, "server_b");
-    streamer = MaybeStreamStatsFromEnv(&sim, &registry);
+    streamer = MaybeStreamStats(&sim, &registry);
   }
 
   // Attach at A and paint rep-seeded photo content edge to edge.
@@ -222,10 +221,10 @@ int main() {
   scale.width = EnvInt("SLIM_MIG_WIDTH", 640);
   scale.height = EnvInt("SLIM_MIG_HEIGHT", 480);
 
-  ScopedTraceFromEnv trace;
-  BenchReporter report("migration",
-                       "Cross-server hotdesk blackout, checkpoint wire cost, and "
-                       "crash-failover recovery across a server pool");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("migration",
+                                       "Cross-server hotdesk blackout, checkpoint wire cost, "
+                                       "and crash-failover recovery across a server pool");
   report.Knob("SLIM_MIG_REPS", scale.reps);
   report.Knob("SLIM_MIG_WIDTH", scale.width);
   report.Knob("SLIM_MIG_HEIGHT", scale.height);

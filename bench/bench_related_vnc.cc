@@ -115,8 +115,8 @@ int main() {
               "Schmidt et al., SOSP'99, Section 8.3");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("related_vnc", "SLIM server-push vs VNC-style client-pull");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("related_vnc", "SLIM server-push vs VNC-style client-pull");
   TextTable table({"system", "keystroke->pixels", "server delta CPU (12s run)", "KB sent"});
   const RemoteResult slim_result = MeasureSlim();
   table.AddRow({"SLIM (push at damage time)", Format("%.2f ms", slim_result.avg_latency_ms),

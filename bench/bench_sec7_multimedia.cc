@@ -279,8 +279,8 @@ int main() {
               "Schmidt et al., SOSP'99, Sections 7.1-7.3");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("sec7_multimedia", "Multimedia applications on SLIM");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("sec7_multimedia", "Multimedia applications on SLIM");
   const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", 20));
 
   TextTable table({"Experiment", "paper fps", "fps", "paper Mbps", "Mbps", "console busy",

@@ -41,8 +41,9 @@ int main() {
   using namespace slim;
   PrintHeader("Session churn - lifecycle hardening under hotdesk storms",
               "Schmidt et al., SOSP'99, Section 2.4 (session manager / hotdesking)");
-  ScopedTraceFromEnv trace;
-  BenchReporter report("session_churn", "Hotdesk churn and console liveness under chaos");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("session_churn",
+                                       "Hotdesk churn and console liveness under chaos");
 
   const int n_sessions = EnvInt("SLIM_CHURN_SESSIONS", 4);
   const int n_consoles = EnvInt("SLIM_CHURN_CONSOLES", 6);

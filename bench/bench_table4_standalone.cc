@@ -137,8 +137,9 @@ int main() {
               "Schmidt et al., SOSP'99, Table 4");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("table4_standalone", "Stand-alone benchmarks for the SLIM console");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("table4_standalone",
+                                       "Stand-alone benchmarks for the SLIM console");
 
   const SimDuration echo = EchoResponseTime(Microseconds(430));
   const SimDuration emacs = EchoResponseTime(Microseconds(3300) + Microseconds(430));

@@ -132,8 +132,9 @@ int main() {
               "Schmidt et al., SOSP'99, Table 5");
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
-  ScopedTraceFromEnv trace;
-  BenchReporter report("table5_console_costs", "SLIM console protocol processing costs");
+  ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
+  BenchReporter report = HarnessReport("table5_console_costs",
+                                       "SLIM console protocol processing costs");
 
   struct Row {
     const char* name;

@@ -1,8 +1,6 @@
 #include "src/codec/damage_tracker.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/codec/encoder.h"
@@ -32,21 +30,6 @@ constexpr int32_t kScrollMinHeight = 16;
 constexpr int32_t kScrollMinDirtyRows = 8;
 
 }  // namespace
-
-bool DamageTrackerFromEnv(bool fallback) {
-  const char* value = std::getenv("SLIM_DAMAGE_TRACKER");
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "slim: ignoring SLIM_DAMAGE_TRACKER='%s' (want an integer)\n",
-                 value);
-    return fallback;
-  }
-  return parsed != 0;
-}
 
 DamageTracker::DamageTracker(int32_t width, int32_t height) : shadow_(width, height) {}
 

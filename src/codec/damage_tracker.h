@@ -36,10 +36,6 @@
 
 namespace slim {
 
-// Resolves the damage-tracker toggle: SLIM_DAMAGE_TRACKER when set to a valid integer
-// (0 disables, nonzero enables; warning on stderr for garbage), otherwise `fallback`.
-bool DamageTrackerFromEnv(bool fallback);
-
 class DamageTracker {
  public:
   DamageTracker(int32_t width, int32_t height);

@@ -32,13 +32,6 @@ struct EncoderOptions {
   // Maximum pixels in one SET command; larger regions are split so that commands stay below
   // the transport's reassembly limits and the console can interleave other flows.
   int64_t max_set_pixels = 128 * 1024;
-
-  // Shadow-frame damage refinement (src/codec/damage_tracker.h): the session keeps a copy
-  // of the last-transmitted frame and trims draw-op damage to the pixels that actually
-  // changed (a span diff per damaged row) before encoding, so over-broad damage (RepaintAll,
-  // full-window PutImage of mostly-unchanged content) costs what it is worth. Disable for
-  // ablation with SLIM_DAMAGE_TRACKER=0 (env override applied in SlimServer).
-  bool damage_tracker = true;
 };
 
 // Statistics the encoder keeps per command type; the Figure 4 harness reads these.

@@ -1,8 +1,6 @@
 #include "src/codec/kernels/kernels.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/codec/kernels/kernels_internal.h"
 
@@ -21,28 +19,6 @@ const KernelOps kScalarKernels{
 // same value, and the pointer is only ever swapped afterwards by ScopedKernelsForTest.
 std::atomic<const KernelOps*> g_kernels{nullptr};
 
-const KernelOps* Resolve() {
-  const KernelTier best = BestSupportedTier();
-  const char* value = std::getenv("SLIM_KERNELS");
-  if (value == nullptr || *value == '\0') {
-    return KernelsForTier(best);
-  }
-  const std::optional<KernelTier> forced = KernelTierFromName(value);
-  if (!forced.has_value()) {
-    std::fprintf(stderr,
-                 "slim: ignoring SLIM_KERNELS='%s' (want scalar or sse2); using %s\n",
-                 value, KernelTierName(best));
-    return KernelsForTier(best);
-  }
-  const KernelOps* ops = KernelsForTier(*forced);
-  if (ops == nullptr) {
-    std::fprintf(stderr, "slim: SLIM_KERNELS=%s is not in this build; using %s\n",
-                 KernelTierName(*forced), KernelTierName(best));
-    return KernelsForTier(best);
-  }
-  return ops;
-}
-
 }  // namespace
 
 const char* KernelTierName(KernelTier tier) {
@@ -53,21 +29,6 @@ const char* KernelTierName(KernelTier tier) {
       return "sse2";
   }
   return "unknown";
-}
-
-std::optional<KernelTier> KernelTierFromName(const std::string& name) {
-  std::string lower;
-  lower.reserve(name.size());
-  for (const char c : name) {
-    lower.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c);
-  }
-  if (lower == "scalar") {
-    return KernelTier::kScalar;
-  }
-  if (lower == "sse2") {
-    return KernelTier::kSse2;
-  }
-  return std::nullopt;
 }
 
 const KernelOps* KernelsForTier(KernelTier tier) {
@@ -91,7 +52,7 @@ KernelTier BestSupportedTier() {
 const KernelOps& Kernels() {
   const KernelOps* ops = g_kernels.load(std::memory_order_acquire);
   if (ops == nullptr) {
-    ops = Resolve();
+    ops = KernelsForTier(BestSupportedTier());
     g_kernels.store(ops, std::memory_order_release);
   }
   return *ops;

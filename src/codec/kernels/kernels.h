@@ -4,21 +4,20 @@
 // bit-packing, row diffing) funnel through the function pointers in KernelOps. A tier is
 // one complete implementation of that table: scalar (the portable reference) and SSE2,
 // which is part of x86-64 and so is compiled whenever the build targets it. Dispatch is
-// resolved once, at first use, from the build plus the SLIM_KERNELS env override, and
-// published through the metric registry as `codec.kernels.tier`.
+// fixed by the build (BestSupportedTier) and published through the metric registry as
+// `codec.kernels.tier`; only tests swap the table, through ScopedKernelsForTest.
 //
 // The load-bearing invariant: EVERY tier is bit-identical to the scalar reference on
 // every input (same first/second color choice, same packed bits, same diff span). The
-// encoder's wire output therefore does not depend on the machine the server runs on (or
-// on SLIM_KERNELS). tests/kernels_test.cc fuzzes each tier against scalar across widths
-// 0..257 and unaligned offsets; never add a tier function that "almost" matches.
+// encoder's wire output therefore does not depend on the machine the server runs on.
+// tests/kernels_test.cc fuzzes each tier against scalar across widths 0..257 and
+// unaligned offsets; never add a tier function that "almost" matches.
 
 #ifndef SRC_CODEC_KERNELS_KERNELS_H_
 #define SRC_CODEC_KERNELS_KERNELS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
 
 #include "src/fb/framebuffer.h"
 
@@ -30,10 +29,6 @@ enum class KernelTier : uint8_t {
 };
 
 const char* KernelTierName(KernelTier tier);
-
-// Parses a SLIM_KERNELS value ("scalar" or "sse2", case-insensitive).
-// Returns nullopt for anything else.
-std::optional<KernelTier> KernelTierFromName(const std::string& name);
 
 // Incremental state for the encoder's two-color classification. `distinct` saturates at
 // 3 (meaning "more than two"); `first`/`second` are the first two distinct pixel values
@@ -65,18 +60,17 @@ struct KernelOps {
 // KernelTier::kScalar never returns nullptr.
 const KernelOps* KernelsForTier(KernelTier tier);
 
-// What dispatch picks absent SLIM_KERNELS, fixed at compile time: kSse2 when the build
-// targets SSE2 (every x86-64 build), otherwise kScalar.
+// What dispatch picks, fixed at compile time: kSse2 when the build targets SSE2 (every
+// x86-64 build), otherwise kScalar.
 KernelTier BestSupportedTier();
 
-// The process-wide kernel table. First call resolves: SLIM_KERNELS forces a tier (with
-// a warning + fallback to BestSupportedTier() when the value is unknown or the build
-// lacks it); otherwise BestSupportedTier() wins. The resolved table never changes
-// afterwards except through ScopedKernelsForTest.
+// The process-wide kernel table: BestSupportedTier()'s, unless a ScopedKernelsForTest
+// is alive.
 const KernelOps& Kernels();
 
 // Test-only: overrides Kernels() for the scope of the object (tests/kernels_test.cc uses
-// it to prove wire-stream equality per tier).
+// it to prove wire-stream equality per tier, and tests/forced_kernels.h to pin a whole
+// test binary to one tier).
 class ScopedKernelsForTest {
  public:
   explicit ScopedKernelsForTest(const KernelOps* ops);

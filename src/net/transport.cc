@@ -243,6 +243,7 @@ void SlimEndpoint::SendSerialized(NodeId peer, uint64_t msg_seq,
     const size_t offset = i * kMaxFragmentPayload;
     const size_t len = std::min(kMaxFragmentPayload, bytes.size() - offset);
     ByteWriter w;
+    w.Reserve(kFragmentHeaderBytes + len);
     w.U8(kFragmentMagic);
     w.U32(0);  // checksum placeholder, filled by SealDatagram
     w.U16(static_cast<uint16_t>(i));
@@ -317,7 +318,12 @@ void SlimEndpoint::OnFragmentDatagram(const Datagram& dgram, std::span<const uin
     ++ctx.received;
   }
   if (ctx.received == ctx.frag_count) {
+    size_t total = 0;
+    for (const auto& frag : ctx.fragments) {
+      total += frag->size();
+    }
     std::vector<uint8_t> whole;
+    whole.reserve(total);
     for (auto& frag : ctx.fragments) {
       whole.insert(whole.end(), frag->begin(), frag->end());
     }

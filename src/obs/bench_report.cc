@@ -4,41 +4,15 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 
 namespace slim {
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "[env] %s='%s' is not an integer; using default %d\n", name, value,
-                 fallback);
-    return fallback;
-  }
-  if (parsed <= 0 || parsed > INT32_MAX) {
-    std::fprintf(stderr, "[env] %s=%ld is out of range (must be positive); using default %d\n",
-                 name, parsed, fallback);
-    return fallback;
-  }
-  return static_cast<int>(parsed);
-}
-
 namespace {
 
-// Best-effort git description for run metadata: the SLIM_GIT_DESCRIBE override first (CI
-// sets it when running outside the checkout), then `git describe` from the cwd.
+// Best-effort git description for run metadata: `git describe` from the cwd.
 std::string GitDescribe() {
-  if (const char* env = std::getenv("SLIM_GIT_DESCRIBE"); env != nullptr && *env != '\0') {
-    return env;
-  }
   std::string out;
   if (std::FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r")) {
     char buf[128];
@@ -65,15 +39,12 @@ JsonValue RunMetadata() {
 
 }  // namespace
 
-BenchReporter::BenchReporter(std::string name, std::string title)
-    : name_(std::move(name)), title_(std::move(title)) {
-  scale_.emplace_back("SLIM_USERS", JsonValue(int64_t{EnvInt("SLIM_USERS", 12)}));
-  scale_.emplace_back("SLIM_MINUTES", JsonValue(int64_t{EnvInt("SLIM_MINUTES", 5)}));
-  scale_.emplace_back("SLIM_SECONDS", JsonValue(int64_t{EnvInt("SLIM_SECONDS", 60)}));
-  const char* dir = std::getenv("SLIM_BENCH_DIR");
-  path_ = (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : std::string();
-  path_ += "BENCH_" + name_ + ".json";
-}
+BenchReporter::BenchReporter(std::string name, std::string title, const std::string& dir,
+                             JsonObject scale)
+    : name_(std::move(name)),
+      title_(std::move(title)),
+      scale_(std::move(scale)),
+      path_((dir.empty() ? "" : dir + "/") + "BENCH_" + name_ + ".json") {}
 
 BenchReporter::~BenchReporter() {
   if (!written_ && !metrics_.empty()) {

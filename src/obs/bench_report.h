@@ -19,12 +19,6 @@
 
 namespace slim {
 
-// Robust environment integer: parses with strtol, warns on stderr and falls back to
-// `fallback` when the variable is unset, not a number, has trailing garbage, or is not
-// positive (every SLIM_* scale knob is a count or a duration, so zero and negatives are
-// configuration mistakes, not valid scales).
-int EnvInt(const char* name, int fallback);
-
 class BenchReporter {
  public:
   // Bumped whenever a required key is added/renamed; the bench_smoke validator pins it, so
@@ -32,10 +26,9 @@ class BenchReporter {
   static constexpr int64_t kSchemaVersion = 1;
 
   // `name` identifies the harness (e.g. "fig7_service_times"); the report lands at
-  // $SLIM_BENCH_DIR/BENCH_<name>.json (cwd when SLIM_BENCH_DIR is unset). The standard
-  // scale knobs (SLIM_USERS, SLIM_MINUTES, SLIM_SECONDS) are captured automatically;
-  // harness-specific knobs are added with Knob().
-  BenchReporter(std::string name, std::string title);
+  // <dir>/BENCH_<name>.json, or in the cwd when `dir` is empty. `scale` is the run's base
+  // "scale" block; harness-specific knobs are added with Knob().
+  BenchReporter(std::string name, std::string title, const std::string& dir, JsonObject scale);
   // Writes the report if Write() was never called (best-effort; errors already warned).
   ~BenchReporter();
   BenchReporter(const BenchReporter&) = delete;

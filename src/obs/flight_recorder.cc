@@ -4,8 +4,6 @@
 #include <map>
 #include <vector>
 
-#include "src/obs/bench_report.h"
-
 namespace slim {
 
 FlightRecorder::FlightRecorder(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {
@@ -73,9 +71,7 @@ ScopedFlightRecorder::ScopedFlightRecorder() {
   if (Tracer::Global() != nullptr) {
     return;  // a full capture is already recording strictly more
   }
-  recorder_ = std::make_unique<FlightRecorder>(
-      static_cast<size_t>(EnvInt("SLIM_FLIGHT_EVENTS",
-                                 static_cast<int>(FlightRecorder::kDefaultCapacity))));
+  recorder_ = std::make_unique<FlightRecorder>();
   recorder_->SetThreadName(kTraceTidInput, "input");
   recorder_->SetThreadName(kTraceTidServer, "server pipeline");
   recorder_->SetThreadName(kTraceTidConsole, "console decode");

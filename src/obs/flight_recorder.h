@@ -1,8 +1,8 @@
 // Always-on, bounded-memory sibling of the Chrome-trace Tracer.
 //
-// SLIM_TRACE buffers every event for the whole run, which is the right tool for a planned
-// capture and the wrong one for "what happened just before the first bad keystroke of a
-// two-hour soak". The FlightRecorder keeps the same event model and the same emission
+// A full Tracer buffers every event for the whole run, which is the right tool for a
+// planned capture and the wrong one for "what happened just before the first bad
+// keystroke of a two-hour soak". The FlightRecorder keeps the same event model and the same emission
 // points (it IS a Tracer, installed through Tracer::SetGlobal, so every existing
 // instrumentation site feeds it unchanged) but stores events in a fixed-capacity ring,
 // overwriting the oldest — bounded memory, no file until someone asks. The LatencyAudit
@@ -50,9 +50,9 @@ class FlightRecorder : public Tracer {
   uint64_t total_recorded_ = 0;
 };
 
-// Installs a FlightRecorder as the process-global tracer for the lifetime of the object —
-// but only when no tracer is already installed (a SLIM_TRACE full capture outranks the
-// ring: it records strictly more). Capacity comes from SLIM_FLIGHT_EVENTS when set.
+// Installs a FlightRecorder of kDefaultCapacity events as the process-global tracer for
+// the lifetime of the object — but only when no tracer is already installed (a full
+// capture outranks the ring: it records strictly more).
 class ScopedFlightRecorder {
  public:
   ScopedFlightRecorder();

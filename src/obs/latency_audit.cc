@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "src/obs/bench_report.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -33,15 +32,6 @@ const char* LatencyStageName(int stage) {
     default:
       return "none";
   }
-}
-
-LatencyAuditOptions LatencyAudit::OptionsFromEnv() {
-  LatencyAuditOptions options;
-  options.slo = static_cast<SimDuration>(EnvInt("SLIM_SLO_MS", 150)) * kMillisecond;
-  if (const char* dir = std::getenv("SLIM_FLIGHT_DIR"); dir != nullptr && *dir != '\0') {
-    options.flight_dir = dir;
-  }
-  return options;
 }
 
 LatencyAudit::LatencyAudit(LatencyAuditOptions options) : options_(std::move(options)) {}

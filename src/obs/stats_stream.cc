@@ -1,8 +1,5 @@
 #include "src/obs/stats_stream.h"
 
-#include <cstdlib>
-
-#include "src/obs/bench_report.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
@@ -56,20 +53,6 @@ void SnapshotStreamer::Stop() {
     std::fclose(file_);
     file_ = nullptr;
   }
-}
-
-std::unique_ptr<SnapshotStreamer> MaybeStreamStatsFromEnv(Simulator* sim,
-                                                          const MetricRegistry* registry) {
-  const char* path = std::getenv("SLIM_STATS_JSONL");
-  if (path == nullptr || *path == '\0') {
-    return nullptr;
-  }
-  const SimDuration interval =
-      static_cast<SimDuration>(EnvInt("SLIM_STATS_INTERVAL_MS", 1000)) * kMillisecond;
-  auto streamer = std::make_unique<SnapshotStreamer>(sim, registry, path, interval);
-  std::fprintf(stderr, "[stats] streaming registry snapshots to %s every %lld sim-ms\n",
-               path, static_cast<long long>(interval / kMillisecond));
-  return streamer;
 }
 
 }  // namespace slim

@@ -7,14 +7,14 @@
 //
 // is appended to `path`. tools/slimtop tails that file (live, `-f`) or post-processes it,
 // rendering per-sample deltas — latency percentiles, breach counts, txq depth, chaos
-// counters — without the harness knowing anything about presentation. Harnesses gate this
-// behind SLIM_STATS_JSONL via MaybeStreamStatsFromEnv, so default runs pay nothing.
+// counters — without the harness knowing anything about presentation. Harnesses arm one
+// only when asked for a stream (bench/bench_util.h: SLIM_STATS_JSONL, one sample per
+// sim-second), so default runs pay nothing.
 
 #ifndef SRC_OBS_STATS_STREAM_H_
 #define SRC_OBS_STATS_STREAM_H_
 
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "src/sim/simulator.h"
@@ -52,11 +52,6 @@ class SnapshotStreamer {
   EventId event_ = kInvalidEventId;
   int64_t samples_ = 0;
 };
-
-// Creates a streamer sampling every SLIM_STATS_INTERVAL_MS (default 1000) of sim time when
-// SLIM_STATS_JSONL=<path> is set; returns null (zero cost) otherwise.
-std::unique_ptr<SnapshotStreamer> MaybeStreamStatsFromEnv(Simulator* sim,
-                                                          const MetricRegistry* registry);
 
 }  // namespace slim
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 namespace slim {
 
@@ -187,12 +186,10 @@ TraceSpan::~TraceSpan() {
   }
 }
 
-ScopedTraceFromEnv::ScopedTraceFromEnv() {
-  const char* path = std::getenv("SLIM_TRACE");
-  if (path == nullptr || *path == '\0') {
+ScopedTraceFile::ScopedTraceFile(std::string path) : path_(std::move(path)) {
+  if (path_.empty()) {
     return;
   }
-  path_ = path;
   tracer_ = std::make_unique<Tracer>();
   tracer_->SetThreadName(kTraceTidInput, "input");
   tracer_->SetThreadName(kTraceTidServer, "server pipeline");
@@ -201,7 +198,7 @@ ScopedTraceFromEnv::ScopedTraceFromEnv() {
   std::fprintf(stderr, "[trace] recording sim-time trace to %s\n", path_.c_str());
 }
 
-ScopedTraceFromEnv::~ScopedTraceFromEnv() {
+ScopedTraceFile::~ScopedTraceFile() {
   if (tracer_ == nullptr) {
     return;
   }

@@ -10,8 +10,8 @@
 // trace format's microseconds), and sorted by timestamp on write — completion-style events
 // are recorded when their end is known, which is after later-starting events may already
 // have been recorded. Tracing is off by default and costs one null-pointer check per
-// instrumentation point: the deep layers consult Tracer::Global(), which harnesses install
-// only when SLIM_TRACE=path.json is set.
+// instrumentation point: the deep layers consult Tracer::Global(), which a harness
+// installs (through ScopedTraceFile) only when asked for a trace file.
 
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
@@ -124,15 +124,15 @@ class TraceSpan {
   int tid_;
 };
 
-// Installs a global tracer for the lifetime of the object when SLIM_TRACE=<path> is set in
-// the environment; writes the trace file and uninstalls on destruction. Harness mains hold
-// one of these so default runs (no SLIM_TRACE) pay zero cost.
-class ScopedTraceFromEnv {
+// Installs a global tracer for the lifetime of the object when `path` is non-empty;
+// writes the trace to `path` and uninstalls on destruction. Harness mains hold one of
+// these, so runs that ask for no trace (empty path) pay zero cost.
+class ScopedTraceFile {
  public:
-  ScopedTraceFromEnv();
-  ~ScopedTraceFromEnv();
-  ScopedTraceFromEnv(const ScopedTraceFromEnv&) = delete;
-  ScopedTraceFromEnv& operator=(const ScopedTraceFromEnv&) = delete;
+  explicit ScopedTraceFile(std::string path);
+  ~ScopedTraceFile();
+  ScopedTraceFile(const ScopedTraceFile&) = delete;
+  ScopedTraceFile& operator=(const ScopedTraceFile&) = delete;
 
   bool enabled() const { return tracer_ != nullptr; }
   Tracer* tracer() { return tracer_.get(); }

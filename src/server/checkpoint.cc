@@ -135,9 +135,7 @@ void ServerSession::RestoreFromCheckpoint(const SessionCheckpoint& ckpt) {
   // The shadow still holds this fresh session's black frame, not what any console shows.
   // The attach that follows repaints in full regardless; invalidating here keeps the
   // tracker honest even before then.
-  if (tracker_ != nullptr) {
-    tracker_->Invalidate();
-  }
+  tracker_.Invalidate();
 
   video_deferred_ = ckpt.video_deferred;
   video_dropped_ = ckpt.video_dropped;

@@ -14,9 +14,10 @@
 // Liveness: while a session is attached the server pings its console every
 // keepalive_interval; any message from that console (pong, input, status) counts as life.
 // When the console has been silent for longer than keepalive_timeout, the probe counts as
-// missed and the re-probe gap backs off exponentially (bounded by probe_backoff_max) so a
-// dead console is not ping-hammered; after max_missed_probes consecutive misses the
-// session is detached.
+// missed and the re-probe gap backs off exponentially (bounded at 2 s) so a dead console
+// is not ping-hammered; after max_missed_probes consecutive misses the session is
+// detached. A detach sends the console its release notice plus two copies 25 ms apart;
+// a re-attach at that console cancels the copies still pending.
 //
 // Both periodic mechanisms default OFF (0) because an armed keepalive timer keeps the
 // discrete-event queue non-empty forever: harnesses that enable them must pace the
@@ -46,16 +47,9 @@ struct SessionLifecycleOptions {
   // Consecutive missed probes before the console is presumed dead and the session
   // detaches.
   int max_missed_probes = 3;
-  // After a missed probe the re-probe gap doubles, bounded by this cap.
-  SimDuration probe_backoff_max = Seconds(2);
   // A session detached for this long is evicted (destroyed, card mapping reclaimed);
   // 0 keeps detached sessions forever (the seed behaviour).
   SimDuration evict_after = 0;
-  // SessionReleaseMsg is fire-and-forget, so the server sends this many extra copies
-  // (spaced release_resend_gap apart) — blanking is idempotent, and the extra copies give
-  // the transport's gap-detection fresh traffic to NACK a lost one against.
-  int release_resends = 2;
-  SimDuration release_resend_gap = Milliseconds(25);
 };
 
 }  // namespace slim

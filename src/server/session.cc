@@ -20,15 +20,23 @@ namespace {
 // repaints).
 constexpr int32_t kScrollMaxShift = 64;
 
+// Backpressure adaptation (pacing.adapt): a video frame is staged (newest wins) instead
+// of sent while its flow's token bucket runs further than this ahead of the clock, and an
+// interactive flush defers — damage keeps coalescing — while the interactive flow is
+// equally far behind or the session holds more than kCoalesceWatermark queued sends.
+constexpr SimDuration kPaceBacklogWatermark = 50 * kMillisecond;
+constexpr int64_t kCoalesceWatermark = 8;
+
 }  // namespace
 
 ServerSession::ServerSession(SlimServer* server, uint32_t id, int32_t width, int32_t height,
                              EncoderOptions encoder_options)
-    : server_(server), id_(id), fb_(width, height), encoder_(encoder_options) {
+    : server_(server),
+      id_(id),
+      fb_(width, height),
+      encoder_(encoder_options),
+      tracker_(width, height) {
   SLIM_CHECK(server != nullptr);
-  if (encoder_options.damage_tracker) {
-    tracker_ = std::make_unique<DamageTracker>(width, height);
-  }
 }
 
 Simulator* ServerSession::simulator() { return server_->simulator(); }
@@ -207,10 +215,8 @@ void ServerSession::FillRect(const Rect& r, Pixel color) {
   // Fills pass straight through the driver: the rectangle is already in protocol form.
   damage_.Subtract(clipped);
   QueueCommand(FillCommand{clipped, color});
-  if (tracker_ != nullptr) {
-    // The FILL bypasses the encoder (and thus refinement), so mirror it into the shadow.
-    tracker_->SyncRect(fb_, clipped);
-  }
+  // The FILL bypasses the encoder (and thus refinement), so mirror it into the shadow.
+  tracker_.SyncRect(fb_, clipped);
 }
 
 void ServerSession::DrawGlyphs(int32_t x, int32_t y, std::span<const GlyphBitmap* const> glyphs,
@@ -264,11 +270,9 @@ void ServerSession::CopyArea(int32_t src_x, int32_t src_y, const Rect& dst) {
   const Rect src_rect{shifted_src_x, shifted_src_y, clipped.w, clipped.h};
   if (fb_.bounds().ContainsRect(src_rect)) {
     QueueCommand(CopyCommand{shifted_src_x, shifted_src_y, clipped});
-    if (tracker_ != nullptr) {
-      // Damage was encoded (and the shadow synced) just above, so copying the already-
-      // updated fb pixels into the shadow equals applying the COPY the console will apply.
-      tracker_->SyncRect(fb_, clipped);
-    }
+    // Damage was encoded (and the shadow synced) just above, so copying the already-
+    // updated fb pixels into the shadow equals applying the COPY the console will apply.
+    tracker_.SyncRect(fb_, clipped);
   } else {
     // The console rejects COPYs that read out of bounds, so send the result literally:
     // CopyRect already wrote the (partially black-padded) pixels, mark them damaged and let
@@ -318,10 +322,8 @@ void ServerSession::TransmitVideoFrame(CscsCommand cmd) {
   (void)applied;
   damage_.Subtract(dst);
   log_.RecordXRequest(now, XVideoFrameBytes(dst.w, dst.h));
-  if (tracker_ != nullptr) {
-    // CSCS bypasses the encoder; the fb already holds the converted pixels.
-    tracker_->SyncRect(fb_, dst);
-  }
+  // CSCS bypasses the encoder; the fb already holds the converted pixels.
+  tracker_.SyncRect(fb_, dst);
   QueueCommand(std::move(display));
   Flush();
 }
@@ -357,7 +359,7 @@ void ServerSession::Flush() {
 bool ServerSession::ShouldStageVideo() const {
   const PacingOptions& p = server_->options().pacing;
   return p.enabled && p.adapt && attached() &&
-         server_->tx_queue().PaceBacklog(video_flow()) > p.pace_backlog_watermark;
+         server_->tx_queue().PaceBacklog(video_flow()) > kPaceBacklogWatermark;
 }
 
 bool ServerSession::ShouldDeferFlush() const {
@@ -366,25 +368,24 @@ bool ServerSession::ShouldDeferFlush() const {
     return false;
   }
   const TransmitQueue& tx = server_->tx_queue();
-  return tx.depth(id_) > p.coalesce_watermark ||
-         tx.PaceBacklog(interactive_flow()) > p.pace_backlog_watermark;
+  return tx.depth(id_) > kCoalesceWatermark ||
+         tx.PaceBacklog(interactive_flow()) > kPaceBacklogWatermark;
 }
 
 void ServerSession::ArmPaceRetry() {
   if (pace_retry_armed_) {
     return;
   }
-  const PacingOptions& p = server_->options().pacing;
   const TransmitQueue& tx = server_->tx_queue();
   const SimTime now = server_->simulator()->now();
   SimTime at = std::numeric_limits<SimTime>::max();
   if (staged_video_.has_value()) {
     at = std::min(at, now + std::max<SimDuration>(
-                           tx.PaceBacklog(video_flow()) - p.pace_backlog_watermark, 0));
+                           tx.PaceBacklog(video_flow()) - kPaceBacklogWatermark, 0));
   }
   if (!damage_.empty()) {
     at = std::min(at, now + std::max<SimDuration>(
-                           tx.PaceBacklog(interactive_flow()) - p.pace_backlog_watermark, 0));
+                           tx.PaceBacklog(interactive_flow()) - kPaceBacklogWatermark, 0));
   }
   if (at == std::numeric_limits<SimTime>::max()) {
     return;
@@ -423,9 +424,7 @@ void ServerSession::RepaintAll() {
 }
 
 void ServerSession::ForceRepaintAll() {
-  if (tracker_ != nullptr) {
-    tracker_->Invalidate();
-  }
+  tracker_.Invalidate();
   RepaintAll();
 }
 
@@ -436,21 +435,16 @@ void ServerSession::EncodeDamageToPending() {
     return;
   }
   damage_.Coalesce(64);
-  Region refined;
-  const Region* to_encode = &damage_;
-  if (tracker_ != nullptr) {
-    // Trim the damage to what actually differs from the last-transmitted frame, salvaging
-    // large vertical scrolls as COPY commands. The scroll COPYs must precede the commands
-    // encoded from the refined residual, which diffs against the post-copy display state.
-    std::vector<DisplayCommand> scroll_cmds;
-    refined = tracker_->Refine(fb_, damage_, kScrollMaxShift, &scroll_cmds);
-    for (auto& cmd : scroll_cmds) {
-      QueueCommand(std::move(cmd));
-    }
-    to_encode = &refined;
+  // Trim the damage to what actually differs from the last-transmitted frame, salvaging
+  // large vertical scrolls as COPY commands. The scroll COPYs must precede the commands
+  // encoded from the refined residual, which diffs against the post-copy display state.
+  std::vector<DisplayCommand> scroll_cmds;
+  const Region refined = tracker_.Refine(fb_, damage_, kScrollMaxShift, &scroll_cmds);
+  for (auto& cmd : scroll_cmds) {
+    QueueCommand(std::move(cmd));
   }
-  if (!to_encode->empty()) {
-    std::vector<DisplayCommand> cmds = encoder_.EncodeDamage(fb_, *to_encode);
+  if (!refined.empty()) {
+    std::vector<DisplayCommand> cmds = encoder_.EncodeDamage(fb_, refined);
     int64_t pixels = 0;
     for (auto& cmd : cmds) {
       pixels += AffectedPixels(cmd);

@@ -10,7 +10,6 @@
 #define SRC_SERVER_SESSION_H_
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -113,9 +112,9 @@ class ServerSession {
   // Encodes pending damage and transmits everything queued to the attached console.
   void Flush();
 
-  // Full-screen refresh. With the damage tracker on this is cheap: the tracker refines the
-  // full-frame damage down to whatever actually differs from the last-transmitted frame
-  // (possibly nothing), so callers may repaint liberally.
+  // Full-screen refresh. This is cheap: the damage tracker refines the full-frame damage
+  // down to whatever actually differs from the last-transmitted frame (possibly nothing),
+  // so callers may repaint liberally.
   void RepaintAll();
 
   // RepaintAll that also discards the damage tracker's shadow frame, forcing a genuine
@@ -183,8 +182,8 @@ class ServerSession {
   uint32_t id_;
   Framebuffer fb_;
   Encoder encoder_;
-  // Shadow-frame damage refinement (src/codec/damage_tracker.h); null when disabled.
-  std::unique_ptr<DamageTracker> tracker_;
+  // Shadow-frame damage refinement (src/codec/damage_tracker.h).
+  DamageTracker tracker_;
   ProtocolLog log_;
   Region damage_;
   std::vector<DisplayCommand> pending_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/codec/damage_tracker.h"
 #include "src/codec/kernels/kernels.h"
 #include "src/obs/latency_audit.h"
 #include "src/obs/metrics.h"
@@ -83,7 +82,6 @@ int RemoteDeviceManager::total_devices() const {
 SlimServer::SlimServer(Simulator* sim, Fabric* fabric, ServerOptions options)
     : sim_(sim), options_(options), auth_(0x51e7e5c4e7u) {
   SLIM_CHECK(sim != nullptr && fabric != nullptr);
-  options_.encoder.damage_tracker = DamageTrackerFromEnv(options_.encoder.damage_tracker);
   endpoint_ = std::make_unique<SlimEndpoint>(fabric, fabric->AddNode());
   endpoint_->set_handler([this](const Message& msg, NodeId from) { OnMessage(msg, from); });
   tx_ = std::make_unique<TransmitQueue>(sim_, endpoint_.get(), options_.model_cpu_delay);
@@ -226,22 +224,26 @@ void SlimServer::ApplyGrant(const BandwidthGrantMsg& grant) {
   if (session == nullptr || !session->attached()) {
     return;  // stale grant for a session that moved on; the new console will re-grant
   }
-  tx_->SetFlowRate(grant.flow_id, grant.bits_per_second, options_.pacing.burst_window);
+  // Token-bucket depth, expressed as time at the granted rate (the paper's Section 7
+  // allocator averages over windows of this order).
+  constexpr SimDuration kGrantBurstWindow = 50 * kMillisecond;
+  tx_->SetFlowRate(grant.flow_id, grant.bits_per_second, kGrantBurstWindow);
   ++pacing_stats_.grants_applied;
   session->OnBandwidthGrant(grant.flow_id, grant.bits_per_second, grant.total_bps);
 }
 
 void SlimServer::RequestSessionBandwidth(ServerSession& session, NodeId console) {
+  // Each session's attach-time asks. The video pipeline re-requests its actual offered
+  // rate when it starts; the interactive ask stays small so the ascending allocator
+  // satisfies it first.
+  constexpr int64_t kInteractiveRequestBps = 2'000'000;
+  constexpr int64_t kVideoRequestBps = 40'000'000;
   const auto request = [&](uint64_t flow, int64_t bps) {
-    if (bps <= 0) {
-      return;
-    }
     ++pacing_stats_.requests_sent;
     Transmit(console, session.id(), BandwidthRequestMsg{flow, bps}, 0);
   };
-  request(ServerSession::InteractiveFlow(session.id()),
-          options_.pacing.interactive_request_bps);
-  request(ServerSession::VideoFlow(session.id()), options_.pacing.video_request_bps);
+  request(ServerSession::InteractiveFlow(session.id()), kInteractiveRequestBps);
+  request(ServerSession::VideoFlow(session.id()), kVideoRequestBps);
 }
 
 void SlimServer::ResetSessionPacing(uint32_t session_id) {
@@ -472,13 +474,14 @@ void SlimServer::ReleaseConsole(NodeId console, uint32_t session_id, ReleaseReas
   // the dead session forever, since nothing else flows there to expose the loss. A newer
   // release for the same console supersedes the pending copies.
   CancelPendingReleases(console);
-  if (options_.lifecycle.release_resends <= 0) {
-    return;
-  }
+  // The extra copies also give the transport's gap detection fresh traffic to NACK a lost
+  // one against.
+  constexpr int kReleaseResends = 2;
+  constexpr SimDuration kReleaseResendGap = 25 * kMillisecond;
   auto& pending = pending_releases_[console];
-  for (int i = 1; i <= options_.lifecycle.release_resends; ++i) {
+  for (int i = 1; i <= kReleaseResends; ++i) {
     pending.push_back(sim_->Schedule(
-        i * options_.lifecycle.release_resend_gap, [this, console, session_id, reason] {
+        i * kReleaseResendGap, [this, console, session_id, reason] {
           ++lifecycle_stats_.releases_sent;
           Transmit(console, session_id, SessionReleaseMsg{reason}, 0);
         }));
@@ -537,8 +540,8 @@ void SlimServer::OnProbeTimer(uint32_t session_id) {
     // The console has been silent across a whole probe window: count the miss and back
     // off the re-probe gap (bounded) so a dead console is not ping-hammered.
     ++lc.missed_probes;
-    lc.probe_gap = std::min<SimDuration>(lc.probe_gap * 2,
-                                         options_.lifecycle.probe_backoff_max);
+    constexpr SimDuration kProbeBackoffMax = 2 * kSecond;
+    lc.probe_gap = std::min<SimDuration>(lc.probe_gap * 2, kProbeBackoffMax);
     if (lc.missed_probes >= options_.lifecycle.max_missed_probes) {
       ++lifecycle_stats_.keepalive_timeouts;
       DetachSession(*session, ReleaseReason::kLivenessTimeout);

@@ -72,9 +72,9 @@ class RemoteDeviceManager {
 };
 
 // Section 7 congestion control. When enabled, every session that attaches asks its
-// console's bandwidth allocator for two flows — a modest one for the interactive display
-// server and a large one for the video library. The console's grants come back as
-// BandwidthGrantMsg and are enforced as per-flow token buckets in the TransmitQueue. The
+// console's bandwidth allocator for two flows — 2 Mbps for the interactive display server
+// and 40 Mbps for the video library. The console's grants come back as BandwidthGrantMsg
+// and are enforced as per-flow token buckets (50 ms deep) in the TransmitQueue. The
 // interactive request is small on purpose: the ascending allocator satisfies small
 // requests first, which is exactly the paper's guarantee that a saturating video stream
 // cannot starve interactive windows. `adapt` additionally makes the session back off
@@ -82,22 +82,9 @@ class RemoteDeviceManager {
 // the paced backlog grow without bound.
 struct PacingOptions {
   bool enabled = false;
-  // Default per-flow requests sent at attach. Applications may re-request with their own
-  // numbers (the video pipeline requests its actual offered rate when it starts).
-  int64_t interactive_request_bps = 2'000'000;
-  int64_t video_request_bps = 40'000'000;
-  // Token-bucket depth, expressed as time at the granted rate (the paper's Section 7
-  // allocator averages over windows of this order).
-  SimDuration burst_window = 50 * kMillisecond;
   // Backpressure adaptation. Off leaves grants enforced but the session naive — the
   // configuration the contended-desktop bench uses to show unbounded queue growth.
   bool adapt = true;
-  // A video frame is staged (newest wins) instead of sent while its flow's bucket runs
-  // further than this ahead of the clock; interactive flushes defer — damage keeps
-  // coalescing — while the interactive flow is equally far behind or the session's txq
-  // depth exceeds coalesce_watermark.
-  SimDuration pace_backlog_watermark = 50 * kMillisecond;
-  int64_t coalesce_watermark = 8;
 };
 
 // Counters for the congestion-control loop, readable directly and through the registry
@@ -113,9 +100,6 @@ struct PacingStats {
 struct ServerOptions {
   int32_t session_width = 1280;
   int32_t session_height = 1024;
-  // encoder.damage_tracker is overridden by SLIM_DAMAGE_TRACKER when that env var is set
-  // (applied in the SlimServer constructor), so harnesses can ablate refinement without
-  // plumbing a flag through every one of them.
   EncoderOptions encoder;
   ServerCpuModel cpu;
   // When true, Flush() defers transmission by the simulated render/encode/wire CPU time on

@@ -2,8 +2,8 @@
 //
 // The paper's methodology logs everything once and answers later questions by
 // post-processing (Section 3.1). TraceFile makes that workflow real: a study's logs can be
-// written to disk and re-analyzed without re-running the simulation. The figure benches use
-// this to cache the user study across processes (SLIM_TRACE_DIR).
+// written to disk and re-analyzed without re-running the simulation
+// (examples/trace_workflow.cpp walks through it).
 //
 // Format: 16-byte header (magic "SLIMTRC1", entry count), then fixed-size little-endian
 // records. Forward-compatible via the version byte in the magic.

@@ -6,12 +6,13 @@
 //   (c) the hash-indexed scroll detector agrees with the probe-based reference detector
 //       (tests/scroll_probe_reference.h) on randomized scroll / noise / ambiguous inputs,
 // plus the session-level contracts: a RepaintAll of an unchanged frame transmits nothing,
-// and a tracker-enabled session salvages hint-less scrolls as COPYs and converges.
+// and a session salvages hint-less scrolls as COPYs and converges. ctest also runs the
+// suite pinned to the scalar kernels (damage_tracker_test_scalar_kernels, through
+// tests/forced_kernels.h).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "src/apps/content.h"
@@ -24,6 +25,7 @@
 #include "src/server/slim_server.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
+#include "tests/forced_kernels.h"
 #include "tests/scroll_probe_reference.h"
 
 namespace slim {
@@ -266,18 +268,6 @@ TEST(DamageTrackerTest, InvalidationPassesDamageThroughUntilFullFrameFlush) {
   EXPECT_TRUE(tracker.Refine(fb, Region(fb.bounds())).empty());
 }
 
-TEST(DamageTrackerTest, EnvOverrideParsesLikeTheOtherKnobs) {
-  ASSERT_EQ(setenv("SLIM_DAMAGE_TRACKER", "0", 1), 0);
-  EXPECT_FALSE(DamageTrackerFromEnv(true));
-  ASSERT_EQ(setenv("SLIM_DAMAGE_TRACKER", "1", 1), 0);
-  EXPECT_TRUE(DamageTrackerFromEnv(false));
-  ASSERT_EQ(setenv("SLIM_DAMAGE_TRACKER", "banana", 1), 0);
-  EXPECT_TRUE(DamageTrackerFromEnv(true));   // garbage: keep fallback
-  EXPECT_FALSE(DamageTrackerFromEnv(false));
-  ASSERT_EQ(unsetenv("SLIM_DAMAGE_TRACKER"), 0);
-  EXPECT_TRUE(DamageTrackerFromEnv(true));
-}
-
 // Refinement compares pixels, never hashes: these two rows share a RowHash64, and a
 // tracker that filtered rows by hash would drop the second write (the console would keep
 // showing the first row).
@@ -304,7 +294,6 @@ TEST(DamageTrackerTest, RowHashCollisionIsStillRefined) {
 struct SessionRun {
   uint64_t console_hash = 0;
   uint64_t server_hash = 0;
-  int64_t bytes = 0;
   EncodeStats stats[6] = {};
 };
 
@@ -312,13 +301,12 @@ struct SessionRun {
 // PutImage'd (over-broad damage), with the content scrolled up by one 12-row text line
 // and a fresh line painted at the bottom — exactly the shape the scroll salvage exists
 // for. Returns the transmitted-stream fingerprint.
-SessionRun RunScrollWorkload(bool tracker) {
+SessionRun RunScrollWorkload() {
   Simulator sim;
   Fabric fabric(&sim, {});
   ServerOptions options;
   options.session_width = 320;
   options.session_height = 240;
-  options.encoder.damage_tracker = tracker;
   SlimServer server(&sim, &fabric, options);
   ConsoleOptions copts;
   copts.width = options.session_width;  // console hash comparable to the session's
@@ -358,13 +346,12 @@ SessionRun RunScrollWorkload(bool tracker) {
   SessionRun run;
   run.console_hash = console.framebuffer().ContentHash();
   run.server_hash = session.framebuffer().ContentHash();
-  run.bytes = session.bytes_sent();
   std::copy(session.encode_stats(), session.encode_stats() + 6, run.stats);
   return run;
 }
 
-// The RepaintAll satellite: with the tracker on, repainting an unchanged frame transmits
-// zero commands, while ForceRepaintAll (the loss-recovery path) still retransmits fully.
+// Repainting an unchanged frame transmits zero commands, while ForceRepaintAll (the
+// loss-recovery path) still retransmits fully.
 TEST(DamageTrackerSessionTest, RepaintAllOfUnchangedFrameTransmitsNothing) {
   Simulator sim;
   Fabric fabric(&sim, {});
@@ -372,7 +359,6 @@ TEST(DamageTrackerSessionTest, RepaintAllOfUnchangedFrameTransmitsNothing) {
   options.session_width = 200;
   options.session_height = 160;
   SlimServer server(&sim, &fabric, options);
-  ASSERT_TRUE(server.options().encoder.damage_tracker);  // default on
   ConsoleOptions copts;
   copts.width = options.session_width;
   copts.height = options.session_height;
@@ -405,20 +391,10 @@ TEST(DamageTrackerSessionTest, RepaintAllOfUnchangedFrameTransmitsNothing) {
 // The salvage must actually fire on the scroll workload — COPY commands on the wire
 // despite the workload never calling CopyArea — and the console must converge.
 TEST(DamageTrackerSessionTest, ScrollWorkloadSalvagesScrollsAndConverges) {
-  const SessionRun run = RunScrollWorkload(/*tracker=*/true);
+  const SessionRun run = RunScrollWorkload();
   EXPECT_EQ(run.console_hash, run.server_hash);
   EXPECT_GT(run.stats[static_cast<size_t>(CommandType::kCopy)].commands, 0)
       << "scroll salvage never fired on a pure scroll workload";
-}
-
-// Ablation correctness: with the tracker off the stream is bigger but the console must
-// converge to the same pixels.
-TEST(DamageTrackerSessionTest, TrackerOffProducesSamePixelsWithMoreBytes) {
-  const SessionRun on = RunScrollWorkload(/*tracker=*/true);
-  const SessionRun off = RunScrollWorkload(/*tracker=*/false);
-  EXPECT_EQ(on.console_hash, off.console_hash);
-  EXPECT_LT(on.bytes, off.bytes)
-      << "refinement + salvage should shrink the scroll workload's wire traffic";
 }
 
 }  // namespace

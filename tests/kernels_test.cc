@@ -7,15 +7,15 @@
 //
 // The suite also proves the end-to-end consequence: the damage-tracker + encoder
 // pipeline emits an IDENTICAL command stream under both tiers, so wire output does not
-// depend on the build or SLIM_KERNELS. ctest re-runs this binary with each tier forced
-// (kernels_test_scalar / _sse2), skipping when the build lacks the tier.
+// depend on the build. ctest re-runs this binary with each tier forced
+// (kernels_test_scalar / _sse2, through tests/forced_kernels.h), skipping when the build
+// lacks the tier.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "src/codec/damage_tracker.h"
@@ -23,6 +23,7 @@
 #include "src/codec/kernels/kernels.h"
 #include "src/color/yuv.h"
 #include "src/util/rng.h"
+#include "tests/forced_kernels.h"
 
 namespace slim {
 namespace {
@@ -51,15 +52,10 @@ std::vector<Pixel> RandomPixels(Rng* rng, size_t palette = 0) {
   return data;
 }
 
+// The names the tier-forced ctest entries put in SLIM_KERNELS.
 TEST(KernelsTest, TierNamesRoundTrip) {
-  for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kSse2}) {
-    const auto parsed = KernelTierFromName(KernelTierName(tier));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, tier);
-  }
-  EXPECT_EQ(KernelTierFromName("SSE2"), KernelTier::kSse2);  // case-insensitive
-  EXPECT_FALSE(KernelTierFromName("avx2").has_value());
-  EXPECT_FALSE(KernelTierFromName("").has_value());
+  EXPECT_STREQ(KernelTierName(KernelTier::kScalar), "scalar");
+  EXPECT_STREQ(KernelTierName(KernelTier::kSse2), "sse2");
 }
 
 TEST(KernelsTest, ScalarTierAlwaysAvailable) {
@@ -83,14 +79,12 @@ TEST(KernelsTest, BestTierIsSse2WheneverTheBuildTargetsIt) {
 // what makes the tier-forced suite runs mean something. Skips (rather than fails) when
 // the build lacks the requested tier.
 TEST(KernelsTest, DispatchHonorsForcedTier) {
-  const char* forced = std::getenv("SLIM_KERNELS");
-  if (forced == nullptr || *forced == '\0') {
+  const std::optional<KernelTier> tier = ForcedKernelTier();
+  if (!tier.has_value()) {
     GTEST_SKIP() << "SLIM_KERNELS not set";
   }
-  const auto tier = KernelTierFromName(forced);
-  ASSERT_TRUE(tier.has_value()) << "unparseable SLIM_KERNELS: " << forced;
   if (KernelsForTier(*tier) == nullptr) {
-    GTEST_SKIP() << "this build lacks tier " << forced;
+    GTEST_SKIP() << "this build lacks tier " << KernelTierName(*tier);
   }
   EXPECT_EQ(Kernels().tier, *tier);
 }

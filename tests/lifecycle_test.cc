@@ -203,6 +203,62 @@ TEST_F(LifecycleFixture, CardRemovalDetachesAndBlanks) {
   EXPECT_EQ(session.framebuffer().ContentHash(), console_a_.framebuffer().ContentHash());
 }
 
+// --- Release notice re-sends -------------------------------------------------------------
+
+// A bare endpoint standing in for a console, so the test sees when each release notice
+// arrives rather than only that the screen blanked.
+class ReleaseFixture : public ::testing::Test {
+ protected:
+  ReleaseFixture()
+      : fabric_(&sim_, {}),
+        server_(&sim_, &fabric_, {}),
+        console_(&fabric_, fabric_.AddNode()) {
+    console_.set_handler([&](const Message& msg, NodeId) {
+      if (std::holds_alternative<SessionReleaseMsg>(msg.body)) {
+        releases_.push_back(sim_.now());
+      }
+    });
+    card_ = server_.auth().IssueCard(1);
+    session_ = &server_.CreateSession(card_);
+  }
+
+  void Insert() { console_.Send(server_.node(), 0, SessionAttachMsg{card_}); }
+  void Remove() { console_.Send(server_.node(), 0, SessionDetachMsg{card_}); }
+
+  Simulator sim_;
+  Fabric fabric_;
+  SlimServer server_;
+  SlimEndpoint console_;
+  uint64_t card_ = 0;
+  ServerSession* session_ = nullptr;
+  std::vector<SimTime> releases_;
+};
+
+TEST_F(ReleaseFixture, DetachSendsThreeReleaseCopiesTwentyFiveMsApart) {
+  Insert();
+  sim_.RunFor(Seconds(1));
+  ASSERT_TRUE(session_->attached());
+  Remove();
+  sim_.RunFor(Seconds(1));
+  EXPECT_FALSE(session_->attached());
+  ASSERT_EQ(releases_.size(), 3u);
+  EXPECT_EQ(releases_[1] - releases_[0], Milliseconds(25));
+  EXPECT_EQ(releases_[2] - releases_[0], Milliseconds(50));
+  EXPECT_EQ(server_.lifecycle_stats().releases_sent, 3);
+}
+
+TEST_F(ReleaseFixture, ReattachWithin25MsCancelsPendingCopies) {
+  Insert();
+  sim_.RunFor(Seconds(1));
+  Remove();
+  sim_.RunFor(Milliseconds(10));
+  Insert();  // reaches the server before the first re-send is due
+  sim_.RunFor(Seconds(1));
+  EXPECT_TRUE(session_->attached());
+  EXPECT_EQ(releases_.size(), 1u);
+  EXPECT_EQ(server_.lifecycle_stats().releases_sent, 1);
+}
+
 // --- Console liveness --------------------------------------------------------------------
 
 ServerOptions LivenessOptions(SimDuration interval, SimDuration timeout, int max_missed) {

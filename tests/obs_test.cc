@@ -1,6 +1,7 @@
 // Tests for the observability layer: the JSON model, the metrics registry (and the
 // migration of the legacy stats structs onto it), the sim-time tracer, and the BENCH
-// report writer/validator pair.
+// report writer/validator pair, plus the harnesses' env parsing (EnvInt in
+// bench/bench_util.h).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <functional>
 #include <variant>
 
+#include "bench/bench_util.h"
 #include "src/console/console.h"
 #include "src/net/fabric.h"
 #include "src/net/transport.h"
@@ -216,7 +218,7 @@ TEST(TracerTest, AttachesCurrentInputIdToNestedEvents) {
   }
 }
 
-// ------------------------------------------------------------------- EnvInt
+// ------------------------------------------------------------- EnvInt (bench)
 
 TEST(EnvIntTest, ParsesValidAndFallsBackOnGarbage) {
   setenv("SLIM_TEST_KNOB", "17", 1);
@@ -235,11 +237,35 @@ TEST(EnvIntTest, ParsesValidAndFallsBackOnGarbage) {
   EXPECT_EQ(EnvInt("SLIM_TEST_KNOB", 5), 5);
 }
 
+// Every harness report starts from the same scale block, read from the environment in
+// this order, and lands in SLIM_BENCH_DIR.
+TEST(EnvIntTest, HarnessReportTakesScaleAndDirectoryFromTheEnvironment) {
+  setenv("SLIM_USERS", "2", 1);
+  setenv("SLIM_MINUTES", "1", 1);
+  unsetenv("SLIM_SECONDS");
+  setenv("SLIM_BENCH_DIR", testing::TempDir().c_str(), 1);
+  BenchReporter report = HarnessReport("unit_test", "scale");
+  const JsonValue doc = report.Document();
+  const JsonObject& scale = doc.Find("scale")->as_object();
+  ASSERT_EQ(scale.size(), 3u);
+  EXPECT_EQ(scale[0].first, "SLIM_USERS");
+  EXPECT_EQ(scale[0].second.as_int(), 2);
+  EXPECT_EQ(scale[1].first, "SLIM_MINUTES");
+  EXPECT_EQ(scale[1].second.as_int(), 1);
+  EXPECT_EQ(scale[2].first, "SLIM_SECONDS");
+  EXPECT_EQ(scale[2].second.as_int(), 60);
+  EXPECT_EQ(report.path(), testing::TempDir() + "/BENCH_unit_test.json");
+  for (const char* name : {"SLIM_USERS", "SLIM_MINUTES", "SLIM_BENCH_DIR"}) {
+    unsetenv(name);
+  }
+}
+
 // ------------------------------------------------------------- bench report
 
 TEST(BenchReportTest, DocumentPassesItsOwnValidator) {
-  setenv("SLIM_BENCH_DIR", testing::TempDir().c_str(), 1);  // keep the dtor write off cwd
-  BenchReporter report("unit_test", "validator round trip");
+  // The temp dir keeps the destructor's write out of the cwd.
+  BenchReporter report("unit_test", "validator round trip", testing::TempDir(),
+                       {{"SLIM_USERS", JsonValue(int64_t{12})}});
   report.Metric("some.metric", 1.5, "ms");
   report.Metric("some.count", int64_t{7}, "count");
   report.Knob("SLIM_EXTRA", 3);
@@ -255,13 +281,13 @@ TEST(BenchReportTest, DocumentPassesItsOwnValidator) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(ValidateBenchReport(*parsed), std::nullopt);
   EXPECT_EQ(parsed->Find("bench")->as_string(), "unit_test");
+  EXPECT_EQ(parsed->Find("scale")->Find("SLIM_USERS")->as_int(), 12);
   EXPECT_EQ(parsed->Find("scale")->Find("SLIM_EXTRA")->as_int(), 3);
   EXPECT_EQ(parsed->Find("metrics_registry")->Find("counters")->Find("x.y")->as_int(), 11);
 }
 
 TEST(BenchReportTest, ValidatorCatchesSchemaDrift) {
-  setenv("SLIM_BENCH_DIR", testing::TempDir().c_str(), 1);
-  BenchReporter report("unit_test", "drift");
+  BenchReporter report("unit_test", "drift", testing::TempDir(), {});
   report.Metric("a.b", 1.0, "x");
   JsonValue doc = report.Document();
 

@@ -217,6 +217,15 @@ TEST(PacingLoopTest, AttachRequestsFlowsAndGrantsAreEnforced) {
   EXPECT_EQ(rig.server.tx_queue().flow_rate(rig.session->video_flow()), 8'000'000);
 }
 
+// On a link with room for both asks, the grants equal the attach-time requests: 2 Mbps
+// for the display server and 40 Mbps for the video library.
+TEST(PacingLoopTest, AttachRequestsTwoAndFortyMbps) {
+  PacingRig rig(100'000'000, /*enabled=*/true, /*adapt=*/true);
+  ASSERT_TRUE(rig.session->attached());
+  EXPECT_EQ(rig.session->interactive_grant_bps(), 2'000'000);
+  EXPECT_EQ(rig.session->video_grant_bps(), 40'000'000);
+}
+
 TEST(PacingLoopTest, PacingOffSendsNoRequestsAndPacesNothing) {
   PacingRig rig(10'000'000, /*enabled=*/false, /*adapt=*/false);
   ASSERT_TRUE(rig.session->attached());
