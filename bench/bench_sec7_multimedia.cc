@@ -280,8 +280,10 @@ int main() {
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
   ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
-  BenchReporter report = HarnessReport("sec7_multimedia", "Multimedia applications on SLIM");
-  const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", 20));
+  constexpr int kDefaultSeconds = 20;
+  BenchReporter report =
+      HarnessReport("sec7_multimedia", "Multimedia applications on SLIM", kDefaultSeconds);
+  const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", kDefaultSeconds));
 
   TextTable table({"Experiment", "paper fps", "fps", "paper Mbps", "Mbps", "console busy",
                    "drops"});

@@ -79,12 +79,16 @@ inline std::vector<UserSessionResult> RunStudyFor(AppKind kind) {
 }
 
 // The harness's BENCH_<name>.json, written into SLIM_BENCH_DIR. Every report's "scale"
-// block starts with the three standard knobs; harnesses add their own with Knob().
-inline BenchReporter HarnessReport(std::string name, std::string title) {
+// block starts with the three standard knobs; harnesses add their own with Knob(). A
+// harness whose horizon defaults to other than 60 s passes its default, so the report
+// records the horizon it ran.
+inline BenchReporter HarnessReport(std::string name, std::string title,
+                                   int seconds_default = 60) {
   JsonObject scale;
   scale.emplace_back("SLIM_USERS", JsonValue(int64_t{EnvInt("SLIM_USERS", 12)}));
   scale.emplace_back("SLIM_MINUTES", JsonValue(int64_t{EnvInt("SLIM_MINUTES", 5)}));
-  scale.emplace_back("SLIM_SECONDS", JsonValue(int64_t{EnvInt("SLIM_SECONDS", 60)}));
+  scale.emplace_back("SLIM_SECONDS",
+                     JsonValue(int64_t{EnvInt("SLIM_SECONDS", seconds_default)}));
   return BenchReporter(std::move(name), std::move(title), EnvPath("SLIM_BENCH_DIR"),
                        std::move(scale));
 }

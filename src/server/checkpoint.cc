@@ -104,6 +104,7 @@ std::optional<SessionCheckpoint> DecodeCheckpoint(std::span<const uint8_t> blob)
 }
 
 void ServerSession::CaptureCheckpoint(SessionCheckpoint* out) const {
+  MirrorVideo();
   out->origin_session = id_;
   out->width = fb_.width();
   out->height = fb_.height();
@@ -132,6 +133,8 @@ void ServerSession::RestoreFromCheckpoint(const SessionCheckpoint& ckpt) {
   SLIM_CHECK(ckpt.fb_pixels.size() == fb_.data().size());
 
   fb_.SetPixels(fb_.bounds(), ckpt.fb_pixels);
+  // The checkpoint's pixels supersede a frame this session has not mirrored yet.
+  unmirrored_video_.reset();
   // The shadow still holds this fresh session's black frame, not what any console shows.
   // The attach that follows repaints in full regardless; invalidating here keeps the
   // tracker honest even before then.

@@ -208,6 +208,7 @@ void ServerSession::FillRect(const Rect& r, Pixel color) {
   if (clipped.empty()) {
     return;
   }
+  MirrorVideo();
   const SimTime now = server_->simulator()->now();
   render_time_ += server_->options().cpu.RenderCost(clipped.area());
   log_.RecordXRequest(now, XFillRectBytes());
@@ -221,6 +222,7 @@ void ServerSession::FillRect(const Rect& r, Pixel color) {
 
 void ServerSession::DrawGlyphs(int32_t x, int32_t y, std::span<const GlyphBitmap* const> glyphs,
                                Pixel fg, Pixel bg) {
+  MirrorVideo();
   const SimTime now = server_->simulator()->now();
   int32_t pen_x = x;
   Rect dirty{};
@@ -244,6 +246,7 @@ void ServerSession::PutImage(const Rect& r, std::span<const Pixel> pixels) {
   if (clipped.empty()) {
     return;
   }
+  MirrorVideo();
   const SimTime now = server_->simulator()->now();
   fb_.SetPixels(r, pixels);
   damage_.Add(clipped);
@@ -261,8 +264,9 @@ void ServerSession::CopyArea(int32_t src_x, int32_t src_y, const Rect& dst) {
   const int32_t shifted_src_x = src_x + (clipped.x - dst.x);
   const int32_t shifted_src_y = src_y + (clipped.y - dst.y);
   const SimTime now = server_->simulator()->now();
-  // The copy reads the current screen, so any not-yet-encoded damage must be encoded first
-  // to keep the console's command stream in order.
+  // The copy reads the current screen, so a transmitted frame must be mirrored and any
+  // not-yet-encoded damage encoded first, to keep the console's command stream in order.
+  MirrorVideo();
   EncodeDamageToPending();
   fb_.CopyRect(shifted_src_x, shifted_src_y, clipped);
   render_time_ += server_->options().cpu.CopyCost(clipped.area());
@@ -314,18 +318,31 @@ void ServerSession::SendVideoFrame(const YuvImage& frame, const Rect& dst, CscsD
 void ServerSession::TransmitVideoFrame(CscsCommand cmd) {
   const SimTime now = server_->simulator()->now();
   const Rect dst = cmd.dst;
-  // Keep the server's true framebuffer in sync with what the console will display by
-  // running the console's own decode on it.
-  DisplayCommand display(std::move(cmd));
-  const bool applied = ApplyCommand(display, &fb_);
-  SLIM_DCHECK(applied);
-  (void)applied;
+  // The previous frame must reach fb_ first unless this one rewrites all of its pixels.
+  if (unmirrored_video_.has_value() && unmirrored_video_->dst != dst) {
+    MirrorVideo();
+  }
   damage_.Subtract(dst);
   log_.RecordXRequest(now, XVideoFrameBytes(dst.w, dst.h));
-  // CSCS bypasses the encoder; the fb already holds the converted pixels.
-  tracker_.SyncRect(fb_, dst);
-  QueueCommand(std::move(display));
+  // CSCS bypasses the encoder. The session keeps the frame instead of decoding it; a newer
+  // frame at this dst may replace it before anything reads the framebuffer.
+  unmirrored_video_ = cmd;
+  QueueCommand(std::move(cmd));
   Flush();
+}
+
+void ServerSession::MirrorVideo() const {
+  if (!unmirrored_video_.has_value()) {
+    return;
+  }
+  // The console's own decode keeps the server's true framebuffer equal to what the console
+  // displays.
+  const Rect dst = unmirrored_video_->dst;
+  const bool applied = ApplyCommand(DisplayCommand(std::move(*unmirrored_video_)), &fb_);
+  SLIM_DCHECK(applied);
+  (void)applied;
+  unmirrored_video_.reset();
+  tracker_.SyncRect(fb_, dst);
 }
 
 void ServerSession::SendAudio(uint32_t sample_rate, std::span<const uint8_t> samples) {
@@ -434,6 +451,8 @@ void ServerSession::EncodeDamageToPending() {
   if (damage_.empty()) {
     return;
   }
+  // Refine reads fb_ and the shadow, the scroll detector even outside the damage.
+  MirrorVideo();
   damage_.Coalesce(64);
   // Trim the damage to what actually differs from the last-transmitted frame, salvaging
   // large vertical scrolls as COPY commands. The scroll COPYs must precede the commands

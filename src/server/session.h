@@ -83,8 +83,12 @@ class ServerSession {
   // The simulator driving this session's server (for applications that defer work, e.g.
   // progressive page rendering).
   Simulator* simulator();
-  Framebuffer& framebuffer() { return fb_; }
-  const Framebuffer& framebuffer() const { return fb_; }
+  // The session's true screen. Reading it first mirrors the last transmitted video frame
+  // (MirrorVideo), so it always holds what the console shows once the wire drains.
+  const Framebuffer& framebuffer() const {
+    MirrorVideo();
+    return fb_;
+  }
   ProtocolLog& log() { return log_; }
   const ProtocolLog& log() const { return log_; }
 
@@ -144,8 +148,9 @@ class ServerSession {
   bool RegisterMetrics(MetricRegistry* registry, const std::string& prefix = "session");
 
   // --- Checkpointing (src/server/checkpoint.{h,cc}) ---
-  // Fills `out` with what a restore keeps: framebuffer bits and the pacing/accounting
-  // counters. The card id is the server's knowledge and is filled in by the caller.
+  // Fills `out` with what a restore keeps: framebuffer bits (with any transmitted video
+  // frame mirrored first) and the pacing/accounting counters. The card id is the server's
+  // knowledge and is filled in by the caller.
   // Console soft state (the tracker's shadow, pending damage, grants, staged video) is
   // deliberately not captured: the restoring server's attach rebuilds it with one full
   // repaint, and the paper's drop-stale-frames rule makes losing a staged frame correct.
@@ -168,9 +173,14 @@ class ServerSession {
   // True while the interactive flow (or the session's txq depth) is over its watermark:
   // Flush leaves damage coalescing instead of encoding more rects into the queue.
   bool ShouldDeferFlush() const;
-  // Applies the staged CSCS frame to the framebuffer/shadow/log and transmits it — the
-  // only place a video frame touches session state, so a dropped frame leaves no trace.
+  // Logs and transmits a CSCS frame and keeps it as unmirrored_video_ instead of decoding
+  // it; MirrorVideo brings it into fb_ and the shadow later. A staged frame reaches
+  // session state only through here, so one that is dropped leaves no trace.
   void TransmitVideoFrame(CscsCommand cmd);
+  // Decodes unmirrored_video_ (if any) into fb_ with the console's own ApplyCommand and
+  // syncs its dst into the shadow. Runs first in every path that reads or writes fb_ or
+  // the shadow. Const: mirroring does not change what the session shows.
+  void MirrorVideo() const;
   // Schedules one OnPaceRetry at the earliest time any deferred concern could clear
   // (deduplicated: at most one retry in flight per session).
   void ArmPaceRetry();
@@ -180,10 +190,11 @@ class ServerSession {
 
   SlimServer* server_;
   uint32_t id_;
-  Framebuffer fb_;
+  // fb_ and tracker_ are mutable for MirrorVideo, which const readers call.
+  mutable Framebuffer fb_;
   Encoder encoder_;
   // Shadow-frame damage refinement (src/codec/damage_tracker.h).
-  DamageTracker tracker_;
+  mutable DamageTracker tracker_;
   ProtocolLog log_;
   Region damage_;
   std::vector<DisplayCommand> pending_;
@@ -197,9 +208,15 @@ class ServerSession {
   int64_t bytes_sent_ = 0;
   EncodeStats encode_stats_[6] = {};
 
-  // Backpressure state. The staged frame is already packed (the pack cost was paid by the
-  // caller); it has NOT touched fb_/shadow/damage/log — that happens only on transmit.
+  // Backpressure state. The staged frame is not yet transmitted and may be dropped. It is
+  // already packed (the pack cost was paid by the caller) and has touched nothing: damage
+  // and log change when it is transmitted, fb_ and the shadow when it is mirrored.
   std::optional<CscsCommand> staged_video_;
+  // The last transmitted frame, not yet decoded into fb_ and the shadow. Unlike
+  // staged_video_ it is session truth: the console has it, and MirrorVideo decodes it the
+  // first time something reads or writes the framebuffer. A newer frame at the same dst
+  // replaces it undecoded, because a CSCS command rewrites its whole dst.
+  mutable std::optional<CscsCommand> unmirrored_video_;
   bool pace_retry_armed_ = false;
   int64_t interactive_grant_bps_ = 0;
   int64_t video_grant_bps_ = 0;

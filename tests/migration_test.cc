@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -229,6 +230,24 @@ TEST_F(CheckpointSessionFixture, RandomizedSessionsRoundTripBitIdentical) {
     EXPECT_EQ(recaptured.encode_stats[t], ckpt.encode_stats[t]);
   }
   EXPECT_EQ(restored->framebuffer().ContentHash(), session.framebuffer().ContentHash());
+}
+
+TEST_F(CheckpointSessionFixture, CaptureRightAfterAVideoFrameHoldsTheFrame) {
+  // A transmitted frame is decoded into the session's framebuffer lazily; a capture must
+  // decode it first, or the checkpoint would miss what the console shows.
+  Rng rng(77);
+  ServerSession& session = PopulatedSession(&rng, 2);
+  YuvImage frame(32, 24);
+  for (int32_t y = 0; y < 24; ++y) {
+    for (int32_t x = 0; x < 32; ++x) {
+      frame.Set(x, y, Yuv{static_cast<uint8_t>(x * 7), static_cast<uint8_t>(60 + y), 200});
+    }
+  }
+  session.SendVideoFrame(frame, Rect{40, 30, 64, 48}, CscsDepth::k12);
+  SessionCheckpoint ckpt;
+  session.CaptureCheckpoint(&ckpt);
+  sim_.RunFor(Milliseconds(200));
+  EXPECT_TRUE(std::ranges::equal(ckpt.fb_pixels, console_.framebuffer().data()));
 }
 
 TEST(CheckpointPropertyTest, PropertyManySeedsManyShapes) {

@@ -255,6 +255,10 @@ TEST(EnvIntTest, HarnessReportTakesScaleAndDirectoryFromTheEnvironment) {
   EXPECT_EQ(scale[2].first, "SLIM_SECONDS");
   EXPECT_EQ(scale[2].second.as_int(), 60);
   EXPECT_EQ(report.path(), testing::TempDir() + "/BENCH_unit_test.json");
+  // A harness with a shorter horizon (bench_sec7_multimedia) reports its own default.
+  BenchReporter short_report = HarnessReport("unit_test_short", "scale", 20);
+  const JsonValue short_doc = short_report.Document();
+  EXPECT_EQ(short_doc.Find("scale")->as_object()[2].second.as_int(), 20);
   for (const char* name : {"SLIM_USERS", "SLIM_MINUTES", "SLIM_BENCH_DIR"}) {
     unsetenv(name);
   }

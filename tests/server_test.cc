@@ -5,6 +5,7 @@
 
 #include "src/apps/content.h"
 #include "src/apps/font.h"
+#include "src/codec/decoder.h"
 #include "src/console/console.h"
 #include "src/net/fabric.h"
 #include "src/server/slim_server.h"
@@ -186,6 +187,129 @@ TEST_F(ServerFixture, HotdeskingMovesSessionBetweenConsoles) {
   sim_.Run();
   EXPECT_EQ(session.console(), second.node());
   // The second console shows the exact screen state that was left behind.
+  EXPECT_EQ(session.framebuffer().ContentHash(), second.framebuffer().ContentHash());
+}
+
+// --- The lazily mirrored video frame ---------------------------------------------------
+//
+// The session decodes a transmitted CSCS frame into its framebuffer only when something
+// reads or writes that framebuffer. Each case sends a frame, then one operation that
+// touches the frame's pixels, and checks two things: the server mirrors the console, and
+// the console shows `expected_`, which is the frame decoded by the console's own
+// ApplyCommand with the operation applied on top.
+class LazyMirrorFixture : public ServerFixture {
+ protected:
+  static constexpr Rect kDst{100, 100, 128, 96};
+
+  // A 64x48 gradient (scaled 2x into kDst); `tint` makes frames differ from each other.
+  static YuvImage Frame(int tint) {
+    YuvImage frame(64, 48);
+    for (int32_t y = 0; y < 48; ++y) {
+      for (int32_t x = 0; x < 64; ++x) {
+        frame.Set(x, y,
+                  Yuv{static_cast<uint8_t>(x * 3 + tint), static_cast<uint8_t>(90 + y),
+                      static_cast<uint8_t>(170 - tint)});
+      }
+    }
+    return frame;
+  }
+
+  ServerSession& Attached() {
+    ServerSession& session = AttachedSession();
+    expected_ = console_.framebuffer();
+    return session;
+  }
+
+  // Sends `frame` to `dst` and applies the same CSCS command to expected_.
+  void SendFrame(ServerSession& session, const YuvImage& frame, const Rect& dst) {
+    session.SendVideoFrame(frame, dst, CscsDepth::k12);
+    CscsCommand cmd;
+    cmd.src_w = frame.width();
+    cmd.src_h = frame.height();
+    cmd.dst = dst;
+    cmd.depth = CscsDepth::k12;
+    cmd.payload = PackCscsPayload(frame, CscsDepth::k12);
+    ASSERT_TRUE(ApplyCommand(DisplayCommand(std::move(cmd)), &expected_));
+  }
+
+  void ExpectConsoleShowsExpected(ServerSession& session) {
+    session.Flush();
+    Sync();
+    EXPECT_EQ(console_.framebuffer().ContentHash(), expected_.ContentHash());
+    EXPECT_TRUE(Matches(session));
+  }
+
+  Framebuffer expected_{1, 1};
+};
+
+TEST_F(LazyMirrorFixture, FillOverPartOfAFrame) {
+  ServerSession& session = Attached();
+  SendFrame(session, Frame(0), kDst);
+  const Rect fill{140, 120, 200, 40};
+  session.FillRect(fill, MakePixel(200, 10, 10));
+  expected_.Fill(fill, MakePixel(200, 10, 10));
+  ExpectConsoleShowsExpected(session);
+}
+
+TEST_F(LazyMirrorFixture, GlyphsOverPartOfAFrame) {
+  ServerSession& session = Attached();
+  SendFrame(session, Frame(0), kDst);
+  const auto glyphs = DefaultFont().Shape("over the video");
+  session.DrawGlyphs(120, 130, glyphs, kBlack, kWhite);
+  int32_t pen_x = 120;
+  for (const GlyphBitmap* glyph : glyphs) {
+    expected_.ExpandBitmap(Rect{pen_x, 130, glyph->width, glyph->height}, glyph->bits, kBlack,
+                           kWhite);
+    pen_x += glyph->width;
+  }
+  ExpectConsoleShowsExpected(session);
+}
+
+TEST_F(LazyMirrorFixture, ImageOverPartOfAFrame) {
+  ServerSession& session = Attached();
+  SendFrame(session, Frame(0), kDst);
+  Rng rng(17);
+  const Rect image{150, 150, 100, 80};
+  const std::vector<Pixel> pixels = MakePhotoBlock(&rng, image.w, image.h);
+  session.PutImage(image, pixels);
+  expected_.SetPixels(image, pixels);
+  ExpectConsoleShowsExpected(session);
+}
+
+TEST_F(LazyMirrorFixture, CopyReadingFromAFrame) {
+  ServerSession& session = Attached();
+  SendFrame(session, Frame(0), kDst);
+  const Rect copy{400, 300, kDst.w, kDst.h};
+  session.CopyArea(kDst.x, kDst.y, copy);
+  expected_.CopyRect(kDst.x, kDst.y, copy);
+  ExpectConsoleShowsExpected(session);
+}
+
+TEST_F(LazyMirrorFixture, OverlappingFrameAtAnotherDst) {
+  ServerSession& session = Attached();
+  SendFrame(session, Frame(0), kDst);
+  SendFrame(session, Frame(40), Rect{150, 130, 128, 96});
+  ExpectConsoleShowsExpected(session);
+}
+
+TEST_F(LazyMirrorFixture, RunOfFramesAtOneDst) {
+  ServerSession& session = Attached();
+  for (int i = 0; i < 5; ++i) {
+    SendFrame(session, Frame(i * 20), kDst);
+  }
+  ExpectConsoleShowsExpected(session);
+}
+
+TEST_F(LazyMirrorFixture, ReattachAtASecondConsoleShowsTheFrame) {
+  ServerSession& session = Attached();
+  SendFrame(session, Frame(0), kDst);
+  Sync();
+  Console second(&sim_, &fabric_, ConsoleOptions{});
+  console_.RemoveCard(server_.node(), server_.auth().IssueCard(1));
+  second.InsertCard(server_.node(), server_.auth().IssueCard(1));
+  sim_.Run();
+  ASSERT_EQ(session.console(), second.node());
+  EXPECT_EQ(second.framebuffer().ContentHash(), expected_.ContentHash());
   EXPECT_EQ(session.framebuffer().ContentHash(), second.framebuffer().ContentHash());
 }
 
