@@ -104,7 +104,6 @@ void GranularityAblation() {
 
 void CscsDepthAblation() {
   std::printf("\n3) CSCS depth: bandwidth vs console decode time (320x240 frame)\n");
-  const ConsoleCostModel model;
   TextTable table({"depth", "KB/frame", "Mbps @24fps", "cold decode", "warm decode"});
   for (const CscsDepth depth : {CscsDepth::k16, CscsDepth::k12, CscsDepth::k8, CscsDepth::k6,
                                 CscsDepth::k5}) {
@@ -118,8 +117,8 @@ void CscsDepthAblation() {
     table.AddRow({Format("%d bpp", BitsPerPixel(depth)),
                   Format("%lld", static_cast<long long>(bytes / 1024)),
                   Format("%.1f", bytes * 8.0 * 24 / 1e6),
-                  Format("%.1f ms", ToMillis(model.CostOf(DisplayCommand(cmd)))),
-                  Format("%.1f ms", ToMillis(model.StreamingCscsCost(cmd)))});
+                  Format("%.1f ms", ToMillis(ConsoleCostModel::CostOf(DisplayCommand(cmd)))),
+                  Format("%.1f ms", ToMillis(ConsoleCostModel::StreamingCscsCost(cmd)))});
   }
   std::printf("%s", table.Render().c_str());
 }

@@ -184,7 +184,7 @@ FailoverNumbers MeasureFailover(const Scale& scale, double loss) {
     const SimDuration interval =
         Milliseconds(200) +
         static_cast<SimDuration>(static_cast<double>(tick_bytes) * 8.0 /
-                                 MigrationOptions{}.rate_bps * kSecond);
+                                 MigrationOptions::kRateBps * kSecond);
     world.manager_a->EnableStandby(world.server_b.get(), interval);
     const uint64_t hash = world.Populate(rep);
     world.InjectLoss(loss);

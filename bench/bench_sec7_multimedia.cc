@@ -102,14 +102,13 @@ MediaRun RunMpeg(bool half_lines, SimDuration horizon) {
   options.depth = CscsDepth::k6;
   options.dst = Rect{40, 40, 720, 480};  // console upscales in half-line mode
   options.run_for = horizon;
-  VideoCpuModel cpu;
   std::vector<std::unique_ptr<MediaPipeline>> pipelines;
   pipelines.push_back(std::make_unique<MediaPipeline>(
-      &rig.sim, &session, options, [source, cpu, half_lines](int index, SimDuration* cost) {
+      &rig.sim, &session, options, [source, half_lines](int index, SimDuration* cost) {
         // Decode always processes the full frame; only conversion/transmit shrink.
         const int64_t full = 720 * 480;
         const int64_t sent = half_lines ? full / 2 : full;
-        *cost = cpu.MpegFrameCost(full, sent);
+        *cost = VideoCpuModel::MpegFrameCost(full, sent);
         return half_lines ? source->Field(index, false) : source->Frame(index);
       }));
   pipelines.back()->Start();
@@ -120,7 +119,6 @@ MediaRun RunMpeg(bool half_lines, SimDuration horizon) {
 MediaRun RunNtsc(int players, int32_t w, int32_t field_h, int32_t dst_h,
                  SimDuration horizon) {
   Rig rig;
-  VideoCpuModel cpu;
   // Sessions attach first (NewSession drains the simulator), then every player starts so
   // the parallel instances genuinely overlap in simulated time.
   std::vector<ServerSession*> sessions;
@@ -137,9 +135,9 @@ MediaRun RunNtsc(int players, int32_t w, int32_t field_h, int32_t dst_h,
     options.run_for = horizon;
     pipelines.push_back(std::make_unique<MediaPipeline>(
         &rig.sim, sessions[static_cast<size_t>(p)], options,
-        [source, cpu, p](int index, SimDuration* cost) {
-          *cost = cpu.JpegFieldCost(static_cast<int64_t>(source->width()) *
-                                    (source->height() / 2));
+        [source, p](int index, SimDuration* cost) {
+          *cost = VideoCpuModel::JpegFieldCost(static_cast<int64_t>(source->width()) *
+                                               (source->height() / 2));
           return source->Field(index, (index + p) % 2 == 1);
         }));
     pipelines.back()->Start();
@@ -150,7 +148,6 @@ MediaRun RunNtsc(int players, int32_t w, int32_t field_h, int32_t dst_h,
 // 7.3: Quake through the YUV translation layer (n parallel instances).
 MediaRun RunQuake(int instances, int32_t w, int32_t h, SimDuration horizon) {
   Rig rig;
-  VideoCpuModel cpu;
   std::vector<ServerSession*> sessions;
   for (int i = 0; i < instances; ++i) {
     sessions.push_back(&rig.NewSession());
@@ -167,7 +164,7 @@ MediaRun RunQuake(int instances, int32_t w, int32_t h, SimDuration horizon) {
     options.run_for = horizon;
     pipelines.push_back(std::make_unique<MediaPipeline>(
         &rig.sim, &session, options,
-        [engine, translation, cpu, w, h](int index, SimDuration* cost) {
+        [engine, translation, w, h](int index, SimDuration* cost) {
           const Camera camera = engine->DemoCamera(index);
           const auto frame = engine->RenderFrame(camera);
           const int64_t pixels = static_cast<int64_t>(w) * h;
@@ -179,7 +176,7 @@ MediaRun RunQuake(int instances, int32_t w, int32_t h, SimDuration horizon) {
               40.0 * complexity * static_cast<double>(pixels));
           const auto copy_cost =
               static_cast<SimDuration>(25.0 * static_cast<double>(pixels));
-          *cost = engine_cost + copy_cost + cpu.QuakeTranslateCost(pixels);
+          *cost = engine_cost + copy_cost + VideoCpuModel::QuakeTranslateCost(pixels);
           return translation->Translate(frame, w, h);
         }));
     pipelines.back()->Start();

@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "src/console/console.h"
+#include "src/console/cost_model.h"
 #include "src/net/fabric.h"
 #include "src/net/transport.h"
 #include "src/sim/simulator.h"
@@ -168,7 +169,7 @@ int main() {
   std::printf("%s", table.Render().c_str());
   std::printf("\nMeasured startup includes the %d ns per-message dispatch overhead the\n"
               "regression cannot separate from the command startup.\n",
-              static_cast<int>(ConsoleCostModel{}.dispatch_overhead));
+              static_cast<int>(ConsoleCostModel::kDispatchOverhead));
   DemonstrateSaturation();
   return 0;
 }

@@ -21,23 +21,13 @@ file(MAKE_DIRECTORY ${OUT_DIR})
 
 get_filename_component(name ${HARNESS} NAME)
 
-# Every sim-session harness honors SLIM_TRACE; bench_micro_codec is wall-clock
-# (google-benchmark) and traces nothing, so it is the one expected gap.
-set(extra_args "")
-set(expected_traces 1)
-if(name STREQUAL "bench_micro_codec")
-  # Wall-clock microbenchmarks: one repetition at minimal measuring time.
-  set(extra_args --benchmark_min_time=0.01)
-  set(expected_traces 0)
-endif()
-
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
     SLIM_USERS=2 SLIM_MINUTES=1 SLIM_SECONDS=5 SLIM_SOAK_EVENTS=20
     SLIM_CHURN_SESSIONS=2 SLIM_CHURN_CONSOLES=3 SLIM_CHURN_OPS=24
     SLIM_BENCH_DIR=${OUT_DIR}
     SLIM_TRACE=${OUT_DIR}/TRACE_${name}.json
-    ${HARNESS} ${extra_args}
+    ${HARNESS}
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -61,15 +51,13 @@ endif()
 # SLIM_TRACE was set above, so a harness that ignores it or writes a corrupt trace fails.
 file(GLOB traces ${OUT_DIR}/TRACE_*.json)
 list(LENGTH traces trace_count)
-if(NOT trace_count EQUAL expected_traces)
+if(NOT trace_count EQUAL 1)
   message(FATAL_ERROR
-    "bench_smoke: expected ${expected_traces} TRACE_*.json files from ${name} but found "
-    "${trace_count} in ${OUT_DIR}")
+    "bench_smoke: expected 1 TRACE_*.json file from ${name} but found ${trace_count} in "
+    "${OUT_DIR}")
 endif()
-if(trace_count GREATER 0)
-  execute_process(COMMAND ${VALIDATOR} --trace ${traces} RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "bench_smoke: ${name} trace validation failed (${rc})")
-  endif()
+execute_process(COMMAND ${VALIDATOR} --trace ${traces} RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "bench_smoke: ${name} trace validation failed (${rc})")
 endif()
 message(STATUS "bench_smoke: ${name}: ${report_count} report and ${trace_count} trace validated")

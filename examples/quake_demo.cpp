@@ -52,7 +52,6 @@ int main() {
   constexpr int32_t kH = 360;
   RaycastEngine engine(kW, kH);
   YuvTranslationLayer translation(engine.palette());
-  VideoCpuModel cpu;
 
   MediaPipelineOptions options;
   options.target_fps = 60.0;  // the game runs as fast as the server allows
@@ -65,7 +64,7 @@ int main() {
     const int64_t pixels = static_cast<int64_t>(kW) * kH;
     *cost = static_cast<SimDuration>((40.0 * engine.SceneComplexity(camera) + 25.0) *
                                      static_cast<double>(pixels)) +
-            cpu.QuakeTranslateCost(pixels);
+            VideoCpuModel::QuakeTranslateCost(pixels);
     return translation.Translate(frame, kW, kH);
   });
   pipeline.Start();

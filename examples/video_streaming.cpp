@@ -41,14 +41,13 @@ int main() {
     sim.Run();
 
     SyntheticVideoSource source(720, 480, 0x71de0);
-    VideoCpuModel cpu;
     MediaPipelineOptions options;
     options.target_fps = 30.0;
     options.depth = depth;
     options.dst = Rect{40, 40, 720, 480};
     options.run_for = Seconds(10);
     MediaPipeline pipeline(&sim, &session, options, [&](int index, SimDuration* cost) {
-      *cost = cpu.MpegFrameCost(720 * 480, 720 * 480);
+      *cost = VideoCpuModel::MpegFrameCost(720 * 480, 720 * 480);
       return source.Frame(index);
     });
     pipeline.Start();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/codec/encoder.h"
 #include "src/codec/kernels/kernels.h"
@@ -87,7 +88,8 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
         if (dy != 0) {
           const int32_t y0 = std::max(b.y, b.y + dy);
           const int32_t y1 = std::min(b.bottom(), b.bottom() + dy);
-          scroll_out->push_back(CopyCommand{b.x, y0 - dy, Rect{b.x, y0, b.w, y1 - y0}});
+          scroll_out->emplace_back(std::in_place_type<CopyCommand>, b.x, y0 - dy,
+                                  Rect{b.x, y0, b.w, y1 - y0});
           // The console will apply the COPY to its framebuffer, which matches the shadow;
           // mirror it so refinement diffs against the post-copy display state. The
           // detector confirmed fb == shifted shadow over the overlap's rect columns, so

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/codec/kernels/kernels.h"
@@ -115,7 +116,7 @@ void Encoder::EncodeBand(const Framebuffer& fb, const Rect& band,
   // Whole-band fast path: uniform or bicolor bands are common (window background, text).
   const ColorScan whole = ScanColors(fb, band);
   if (whole.distinct <= 1 && options_.enable_fill) {
-    out->push_back(FillCommand{band, whole.first});
+    out->emplace_back(std::in_place_type<FillCommand>, band, whole.first);
     return;
   }
   if (whole.distinct == 2 && options_.enable_bitmap) {
@@ -177,7 +178,7 @@ void Encoder::EncodeBand(const Framebuffer& fb, const Rect& band,
   for (const Chunk& chunk : chunks) {
     switch (chunk.kind) {
       case Kind::kFill:
-        out->push_back(FillCommand{chunk.rect, chunk.a});
+        out->emplace_back(std::in_place_type<FillCommand>, chunk.rect, chunk.a);
         break;
       case Kind::kBitmap:
         EmitBitmap(fb, chunk.rect, chunk.a, chunk.b, out);
@@ -205,7 +206,7 @@ void Encoder::EmitSet(const Framebuffer& fb, const Rect& rect,
       const Rect part{x, y, w, h};
       std::vector<Pixel> pixels;
       fb.ReadPixels(part, &pixels);
-      out->push_back(SetCommand{part, PackRgb(pixels)});
+      out->emplace_back(std::in_place_type<SetCommand>, part, PackRgb(pixels));
     }
   }
 }
@@ -222,7 +223,7 @@ void Encoder::EmitBitmap(const Framebuffer& fb, const Rect& rect, Pixel bg, Pixe
     kernels.pack_bitmap_row(row.data(), row.size(), fg,
                             &bits[static_cast<size_t>(y - rect.y) * stride]);
   }
-  out->push_back(BitmapCommand{rect, fg, bg, std::move(bits)});
+  out->emplace_back(std::in_place_type<BitmapCommand>, rect, fg, bg, std::move(bits));
 }
 
 void Encoder::Accumulate(const std::vector<DisplayCommand>& cmds, EncodeStats stats[6]) {

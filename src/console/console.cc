@@ -3,12 +3,21 @@
 #include <algorithm>
 
 #include "src/codec/decoder.h"
+#include "src/console/cost_model.h"
 #include "src/obs/latency_audit.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 
 namespace slim {
+
+namespace {
+
+// Command memory: the Sun Ray 1 uses 2MB of its 8MB; queued protocol data beyond this is
+// dropped (and recovered by replay when the sender cares).
+constexpr int64_t kCommandMemoryBytes = 2 * 1024 * 1024;
+
+}  // namespace
 
 Console::Console(Simulator* sim, Fabric* fabric, ConsoleOptions options)
     : sim_(sim),
@@ -201,7 +210,7 @@ void Console::ProcessDisplayCommand(const Message& msg, const DisplayCommand& cm
     return;
   }
   const size_t wire_bytes = WireSize(cmd);
-  if (queued_bytes_ + static_cast<int64_t>(wire_bytes) > options_.queue_limit_bytes) {
+  if (queued_bytes_ + static_cast<int64_t>(wire_bytes) > kCommandMemoryBytes) {
     ++commands_dropped_;
     if (audit != nullptr) {
       audit->NoteConsoleDrop(endpoint_->node(), msg.seq);
@@ -216,17 +225,17 @@ void Console::ProcessDisplayCommand(const Message& msg, const DisplayCommand& cm
     const auto it = std::find(stream_cache_.begin(), stream_cache_.end(), state);
     if (it != stream_cache_.end()) {
       ++cscs_stream_hits_;
-      cost = options_.cost_model.StreamingCscsCost(*cscs);
+      cost = ConsoleCostModel::StreamingCscsCost(*cscs);
       stream_cache_.erase(it);
     } else {
-      cost = options_.cost_model.CostOf(cmd);
+      cost = ConsoleCostModel::CostOf(cmd);
     }
     stream_cache_.push_back(state);
     if (stream_cache_.size() > 8) {
       stream_cache_.erase(stream_cache_.begin());
     }
   } else {
-    cost = options_.cost_model.CostOf(cmd);
+    cost = ConsoleCostModel::CostOf(cmd);
   }
 
   ServiceRecord record;

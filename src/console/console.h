@@ -17,10 +17,10 @@
 #include <vector>
 
 #include "src/console/bandwidth.h"
-#include "src/console/cost_model.h"
 #include "src/fb/framebuffer.h"
 #include "src/net/fabric.h"
 #include "src/net/transport.h"
+#include "src/protocol/commands.h"
 #include "src/sim/simulator.h"
 
 namespace slim {
@@ -31,10 +31,6 @@ class MetricRegistry;
 struct ConsoleOptions {
   int32_t width = 1280;
   int32_t height = 1024;
-  ConsoleCostModel cost_model;
-  // Command memory: the Sun Ray 1 uses 2MB of its 8MB; queued protocol data beyond this is
-  // dropped (and recovered by replay when the sender cares).
-  int64_t queue_limit_bytes = 2 * 1024 * 1024;
   // Total downstream bandwidth the Section 7 allocator hands out.
   int64_t allocatable_bps = 100'000'000;
   // Record per-command service times (Figure 7 / Table 5 harnesses); costs memory.

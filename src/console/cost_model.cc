@@ -4,64 +4,64 @@
 
 namespace slim {
 
-double ConsoleCostModel::CscsPerPixelNs(CscsDepth depth) const {
+double ConsoleCostModel::CscsPerPixelNs(CscsDepth depth) {
   switch (depth) {
     case CscsDepth::k16:
-      return cscs_per_pixel_ns_16;
+      return kCscsPerPixelNs16;
     case CscsDepth::k12:
-      return cscs_per_pixel_ns_12;
+      return kCscsPerPixelNs12;
     case CscsDepth::k8:
-      return cscs_per_pixel_ns_8;
+      return kCscsPerPixelNs8;
     case CscsDepth::k6:
-      return cscs_per_pixel_ns_6;
+      return kCscsPerPixelNs6;
     case CscsDepth::k5:
-      return cscs_per_pixel_ns_5;
+      return kCscsPerPixelNs5;
   }
-  return cscs_per_pixel_ns_16;
+  return kCscsPerPixelNs16;
 }
 
-SimDuration ConsoleCostModel::CostOf(const DisplayCommand& cmd) const {
+SimDuration ConsoleCostModel::CostOf(const DisplayCommand& cmd) {
   const int64_t pixels = AffectedPixels(cmd);
   const CommandCost* cost = nullptr;
   double per_pixel = 0.0;
   SimDuration startup = 0;
   switch (TypeOf(cmd)) {
     case CommandType::kSet:
-      cost = &set;
+      cost = &kSet;
       break;
     case CommandType::kBitmap:
-      cost = &bitmap;
+      cost = &kBitmap;
       break;
     case CommandType::kFill:
-      cost = &fill;
+      cost = &kFill;
       break;
     case CommandType::kCopy:
-      cost = &copy;
+      cost = &kCopy;
       break;
     case CommandType::kCscs: {
       const auto& cscs = std::get<CscsCommand>(cmd);
-      startup = cscs_startup;
+      startup = kCscsStartup;
       // The per-pixel cost is paid on the source pixels converted; when the console also
       // upscales, the scaling writes are folded into the same constant (the paper's
       // measurements were taken through the same path).
       per_pixel = CscsPerPixelNs(cscs.depth);
       const int64_t src_pixels = static_cast<int64_t>(cscs.src_w) * cscs.src_h;
-      return dispatch_overhead + startup +
+      return kDispatchOverhead + startup +
              static_cast<SimDuration>(std::llround(per_pixel * static_cast<double>(src_pixels)));
     }
   }
   startup = cost->startup;
   per_pixel = cost->per_pixel_ns;
-  return dispatch_overhead + startup +
+  return kDispatchOverhead + startup +
          static_cast<SimDuration>(std::llround(per_pixel * static_cast<double>(pixels)));
 }
 
-SimDuration ConsoleCostModel::StreamingCscsCost(const CscsCommand& cmd) const {
+SimDuration ConsoleCostModel::StreamingCscsCost(const CscsCommand& cmd) {
   const int64_t src_pixels = static_cast<int64_t>(cmd.src_w) * cmd.src_h;
-  const double per_pixel = CscsPerPixelNs(cmd.depth) * cscs_streaming_factor;
+  const double per_pixel = CscsPerPixelNs(cmd.depth) * kCscsStreamingFactor;
   const auto startup =
-      static_cast<SimDuration>(static_cast<double>(cscs_startup) * cscs_streaming_startup_factor);
-  return dispatch_overhead + startup +
+      static_cast<SimDuration>(static_cast<double>(kCscsStartup) * kCscsStreamingStartupFactor);
+  return kDispatchOverhead + startup +
          static_cast<SimDuration>(std::llround(per_pixel * static_cast<double>(src_pixels)));
 }
 

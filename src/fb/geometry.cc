@@ -107,12 +107,6 @@ void Region::AddDisjoint(const Rect& r) {
   rects_.push_back(r);
 }
 
-void Region::AddRegion(const Region& other) {
-  for (const Rect& r : other.rects_) {
-    Add(r);
-  }
-}
-
 void Region::Subtract(const Rect& r) {
   if (r.empty() || rects_.empty()) {
     return;
@@ -144,11 +138,6 @@ Rect Region::bounds() const {
 bool Region::Contains(Point p) const {
   return std::any_of(rects_.begin(), rects_.end(),
                      [&](const Rect& r) { return r.Contains(p); });
-}
-
-bool Region::Intersects(const Rect& r) const {
-  return std::any_of(rects_.begin(), rects_.end(),
-                     [&](const Rect& other) { return other.Intersects(r); });
 }
 
 void Region::Coalesce(size_t max_rects) {

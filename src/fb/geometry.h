@@ -60,7 +60,6 @@ class Region {
   // its refined rects, which are disjoint by construction, so building a region of n rects
   // stays O(n) instead of O(n^2).
   void AddDisjoint(const Rect& r);
-  void AddRegion(const Region& other);
   void Subtract(const Rect& r);
   void Clear() { rects_.clear(); }
 
@@ -68,7 +67,6 @@ class Region {
   int64_t area() const;
   Rect bounds() const;
   bool Contains(Point p) const;
-  bool Intersects(const Rect& r) const;
 
   const std::vector<Rect>& rects() const { return rects_; }
 

@@ -9,6 +9,18 @@
 
 namespace slim {
 
+namespace {
+
+// Propagation delay of every link, after serialization.
+constexpr SimDuration kPropagation = Microseconds(5);
+// The node->switch direction is fed by the sending host's kernel, whose socket buffers
+// absorb bursts and backpressure the writer instead of dropping; we model that as a much
+// deeper uplink queue. Drops under contention happen at switch egress ports (the link
+// queue limit), which is where real switched ethernet loses packets.
+constexpr int64_t kHostQueueBytes = 8 * 1024 * 1024;
+
+}  // namespace
+
 Link::Link(Simulator* sim, LinkOptions options, Rng rng)
     : sim_(sim), options_(options), rng_(rng) {
   SLIM_CHECK(sim != nullptr);
@@ -32,7 +44,7 @@ void Link::Send(Datagram dgram) {
   const SimTime start = std::max(sim_->now(), busy_until_);
   const SimTime done = start + TransmissionDelay(wire_bytes, options_.bits_per_second);
   busy_until_ = done;
-  SimDuration extra = options_.propagation;
+  SimDuration extra = kPropagation;
   if (options_.reorder_jitter > 0) {
     extra += static_cast<SimDuration>(rng_.NextBelow(static_cast<uint64_t>(
         options_.reorder_jitter)));
@@ -56,8 +68,7 @@ NodeId Fabric::AddNode(const LinkOptions& link_options) {
   const NodeId id = static_cast<NodeId>(ports_.size());
   auto port = std::make_unique<Port>();
   LinkOptions up_options = link_options;
-  up_options.queue_limit_bytes = std::max(up_options.queue_limit_bytes,
-                                          options_.host_queue_bytes);
+  up_options.queue_limit_bytes = std::max(up_options.queue_limit_bytes, kHostQueueBytes);
   port->up = std::make_unique<Link>(sim_, up_options, rng_.Split());
   port->down = std::make_unique<Link>(sim_, link_options, rng_.Split());
   // The uplink terminates at the switch, which forwards onto the destination's downlink.
@@ -95,8 +106,6 @@ void Fabric::InjectFaults(const FaultProfile& profile) {
 void Fabric::InjectFaults(NodeId src, NodeId dst, const FaultProfile& profile) {
   pair_faults_[{src, dst}] = profile;
 }
-
-void Fabric::ClearFaults(NodeId src, NodeId dst) { pair_faults_.erase({src, dst}); }
 
 void Fabric::ClearFaults() {
   default_faults_.reset();

@@ -47,7 +47,6 @@ struct Datagram {
 
 struct LinkOptions {
   int64_t bits_per_second = 100'000'000;  // 100 Mbps, the paper's IF
-  SimDuration propagation = Microseconds(5);
   int64_t queue_limit_bytes = 256 * 1024;
   double loss_probability = 0.0;
   // When > 0, each datagram's delivery is additionally delayed by uniform [0, jitter],
@@ -90,11 +89,6 @@ class Link {
 
 struct FabricOptions {
   LinkOptions link;  // applied to every node<->switch link unless overridden per node
-  // The node->switch direction is fed by the sending host's kernel, whose socket buffers
-  // absorb bursts and backpressure the writer instead of dropping; we model that as a much
-  // deeper uplink queue. Drops under contention happen at switch egress ports (the `link`
-  // queue limit), which is where real switched ethernet loses packets.
-  int64_t host_queue_bytes = 8 * 1024 * 1024;
   // Base seed for the chaos layer; each directed (src, dst) pair derives its own stream from
   // it, so adding a faulty link never perturbs the fault schedule of another.
   uint64_t fault_seed = 0xc4a05f17u;
@@ -154,8 +148,6 @@ class Fabric {
   // Applies `profile` to datagrams traveling src -> dst only (call twice, swapped, for a
   // symmetric sick link). Overrides the fabric-wide default for that path.
   void InjectFaults(NodeId src, NodeId dst, const FaultProfile& profile);
-  // Removes the src -> dst override (the fabric-wide default, if any, applies again).
-  void ClearFaults(NodeId src, NodeId dst);
   // Removes the fabric-wide default and every per-pair override.
   void ClearFaults();
 

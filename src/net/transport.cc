@@ -31,6 +31,13 @@ constexpr size_t kMaxBatchableBody = 500;
 constexpr size_t kDedupWindow = 1024;
 // Consecutive no-progress NACKs of one range before the receiver gives it up entirely.
 constexpr int kNackMaxStrikes = 6;
+// How many recent messages the sender retains per peer for NACK replay.
+constexpr size_t kReplayHistory = 512;
+// NACK pacing: the first NACK for a missing range waits kNackBackoffMin since the last
+// NACK; every re-NACK of the same range doubles the gate up to kNackBackoffMax, so a peer
+// that cannot replay (history evicted, path black-holed) is not NACK-hammered.
+constexpr SimDuration kNackBackoffMin = Milliseconds(5);
+constexpr SimDuration kNackBackoffMax = Milliseconds(40);
 
 // Stamps the checksum into a fully assembled datagram whose layout is
 // [magic][checksum placeholder][covered bytes...].
@@ -131,7 +138,7 @@ uint64_t SlimEndpoint::Send(NodeId peer, uint32_t session_id, MessageBody body) 
     // it was originally batched.
     auto& history = history_[peer];
     history.emplace_back(msg.seq, bytes);
-    while (history.size() > options_.replay_history) {
+    while (history.size() > kReplayHistory) {
       history.pop_front();
     }
   }
@@ -454,18 +461,18 @@ void SlimEndpoint::MaybeSendNack(NodeId peer, uint32_t session_id, PeerRecvState
   // Give up on sequences that have fallen out of any plausible replay history; the display
   // stream is self-correcting (a later full repaint supersedes lost updates).
   while (!state.missing.empty() &&
-         *state.missing.begin() + options_.replay_history < state.max_seq) {
+         *state.missing.begin() + kReplayHistory < state.max_seq) {
     ResolveMissing(state, *state.missing.begin(), "gave_up_history");
     state.missing.erase(state.missing.begin());
   }
   if (state.missing.empty()) {
-    state.nack_gate = options_.nack_backoff_min;
+    state.nack_gate = kNackBackoffMin;
     state.last_nack_first = 0;
     state.nack_strikes = 0;
     return;
   }
   if (state.nack_gate <= 0) {
-    state.nack_gate = options_.nack_backoff_min;
+    state.nack_gate = kNackBackoffMin;
   }
   const SimTime now = fabric_->simulator()->now();
   if (now - state.last_nack_at < state.nack_gate) {
@@ -497,7 +504,7 @@ void SlimEndpoint::MaybeSendNack(NodeId peer, uint32_t session_id, PeerRecvState
     // and after kNackMaxStrikes fruitless tries give the range up for good: the display
     // stream is self-correcting (a later full repaint supersedes lost updates), and an
     // unreplayable range must not keep the retry timer alive forever.
-    state.nack_gate = std::min(state.nack_gate * 2, options_.nack_backoff_max);
+    state.nack_gate = std::min(state.nack_gate * 2, kNackBackoffMax);
     ++stats_.nack_backoffs;
     if (++state.nack_strikes >= kNackMaxStrikes) {
       for (uint64_t s = first; s <= last; ++s) {
@@ -506,14 +513,14 @@ void SlimEndpoint::MaybeSendNack(NodeId peer, uint32_t session_id, PeerRecvState
       state.missing.erase(state.missing.lower_bound(first), state.missing.upper_bound(last));
       state.last_nack_first = 0;
       state.nack_strikes = 0;
-      state.nack_gate = options_.nack_backoff_min;
+      state.nack_gate = kNackBackoffMin;
       if (!state.missing.empty()) {
         ArmNackRetry(peer, state);  // move on to the next range
       }
       return;
     }
   } else {
-    state.nack_gate = options_.nack_backoff_min;
+    state.nack_gate = kNackBackoffMin;
     state.last_nack_first = first;
     state.nack_strikes = 0;
   }

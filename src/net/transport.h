@@ -63,8 +63,6 @@ struct TransportStats {
 using EndpointStats = TransportStats;
 
 struct EndpointOptions {
-  // How many recent messages the sender retains for NACK replay.
-  size_t replay_history = 512;
   // Reassembly contexts kept live before the oldest (by last fragment arrival) is evicted.
   // Sized so a full-screen repaint burst over a lossy fabric (hundreds of messages, a third
   // of them waiting on one replayed fragment) does not thrash the table.
@@ -75,11 +73,6 @@ struct EndpointOptions {
   SimDuration reassembly_timeout = Milliseconds(250);
   // Sequence tracking / NACK generation on gaps (can be disabled for ablation).
   bool enable_nack = true;
-  // NACK pacing: the first NACK for a missing range waits nack_backoff_min since the last
-  // NACK; every re-NACK of the same range doubles the gate up to nack_backoff_max, so a
-  // peer that cannot replay (history evicted, path black-holed) is not NACK-hammered.
-  SimDuration nack_backoff_min = Milliseconds(5);
-  SimDuration nack_backoff_max = Milliseconds(40);
 
   // Section 5.4's proposed low-bandwidth optimizations, off by default (the Sun Ray 1 did
   // not ship them): small messages bound for the same peer are held for up to batch_delay
@@ -210,7 +203,7 @@ class SlimEndpoint {
   // Replay history is PER PEER: seqs are only unique per (peer, direction), so a shared
   // pool would let one peer's NACK range replay another peer's bytes — and the bogus
   // replay's seq would poison the requester's dedup window, permanently masking the real
-  // message. Each peer gets its own replay_history-bounded window.
+  // message. Each peer gets its own window of the last kReplayHistory messages.
   std::map<NodeId, std::deque<std::pair<uint64_t, std::vector<uint8_t>>>> history_;
   std::map<NodeId, DedupWindow> recent_delivered_;
   std::map<NodeId, Batch> batches_;  // pending per-peer batches when batching is enabled

@@ -19,11 +19,6 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
-void JsonValue::Set(std::string key, JsonValue value) {
-  kind_ = Kind::kObject;
-  object_.emplace_back(std::move(key), std::move(value));
-}
-
 std::string JsonQuote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);

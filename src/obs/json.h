@@ -64,8 +64,6 @@ class JsonValue {
 
   // Object field lookup; nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
-  // Appends (does not replace) a field; callers build objects once, in order.
-  void Set(std::string key, JsonValue value);
 
   // Compact serialization (no insignificant whitespace). `indent` > 0 pretty-prints.
   std::string Dump(int indent = 0) const;

@@ -92,7 +92,7 @@ int64_t LatencyAudit::BeginInput(uint32_t session_id, SimTime now, int64_t trace
   ev.dispatch_done = now;
   open_[id] = ev;
   current_input_ = id;
-  if (open_.size() > options_.max_open_events) {
+  if (open_.size() > kMaxOpenEvents) {
     // Bounded ledger: fold the oldest still-open event as incomplete.
     auto oldest = open_.begin();
     Finalize(oldest->first, oldest->second, /*complete=*/false);
@@ -353,7 +353,7 @@ void LatencyAudit::DumpFlight(int64_t input_id, int stage, const char* reason, S
                               SimDuration e2e) {
   (void)now;
   (void)e2e;
-  if (options_.flight_dir.empty() || flight_dumps_ >= options_.max_flight_dumps) {
+  if (options_.flight_dir.empty() || flight_dumps_ >= kMaxFlightDumps) {
     return;
   }
   Tracer* tracer = Tracer::Global();

@@ -65,14 +65,15 @@ struct LatencyAuditOptions {
   // Directory breach/give-up/detach dumps are written to; empty disables dumping. The
   // harness chooses it (bench_chaos_soak: SLIM_FLIGHT_DIR, else its report directory).
   std::string flight_dir;
-  // At most this many dump files per audit (the first incidents are the informative ones).
-  int max_flight_dumps = 8;
-  // Ledger bound: oldest still-open events are folded as incomplete beyond this.
-  size_t max_open_events = 4096;
 };
 
 class LatencyAudit {
  public:
+  // At most this many dump files per audit (the first incidents are the informative ones).
+  static constexpr int64_t kMaxFlightDumps = 8;
+  // Ledger bound: oldest still-open events are folded as incomplete beyond this.
+  static constexpr size_t kMaxOpenEvents = 4096;
+
   explicit LatencyAudit(LatencyAuditOptions options = {});
   ~LatencyAudit();
   LatencyAudit(const LatencyAudit&) = delete;

@@ -172,20 +172,6 @@ bool Tracer::WriteFile(const std::string& path) const {
   return ok;
 }
 
-TraceSpan::TraceSpan(Simulator* sim, std::string name, std::string cat, int tid,
-                     JsonObject args)
-    : sim_(sim), tracer_(Tracer::Global()), tid_(tid) {
-  if (tracer_ != nullptr) {
-    tracer_->Begin(sim_->now(), std::move(name), std::move(cat), tid_, std::move(args));
-  }
-}
-
-TraceSpan::~TraceSpan() {
-  if (tracer_ != nullptr) {
-    tracer_->End(sim_->now(), tid_);
-  }
-}
-
 ScopedTraceFile::ScopedTraceFile(std::string path) : path_(std::move(path)) {
   if (path_.empty()) {
     return;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/obs/json.h"
-#include "src/sim/simulator.h"
 #include "src/util/time.h"
 
 namespace slim {
@@ -107,21 +106,6 @@ class Tracer {
 
  private:
   static Tracer* global_;
-};
-
-// RAII span against the global tracer: no-op when tracing is off. Reads the simulator's
-// clock at construction and destruction.
-class TraceSpan {
- public:
-  TraceSpan(Simulator* sim, std::string name, std::string cat, int tid, JsonObject args = {});
-  ~TraceSpan();
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  Simulator* sim_;
-  Tracer* tracer_;  // captured once so SetGlobal mid-span cannot unbalance B/E
-  int tid_;
 };
 
 // Installs a global tracer for the lifetime of the object when `path` is non-empty;

@@ -397,11 +397,6 @@ MessageType TypeOfBody(const MessageBody& body) {
 
 MessageType TypeOfMessage(const Message& msg) { return TypeOfBody(msg.body); }
 
-bool IsDisplayCommand(const Message& msg) {
-  const auto type = static_cast<uint8_t>(TypeOfMessage(msg));
-  return type >= 1 && type <= 5;
-}
-
 std::vector<uint8_t> SerializeMessageBody(const MessageBody& body) {
   ByteWriter w;
   WriteBody(w, body);

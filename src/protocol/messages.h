@@ -216,7 +216,6 @@ struct Message {
 };
 
 MessageType TypeOfMessage(const Message& msg);
-bool IsDisplayCommand(const Message& msg);
 
 // Wire format: u8 magic, u8 type, u16 reserved, u32 session, u64 seq, u32 payload length,
 // payload. Total header size is kMessageHeaderBytes.

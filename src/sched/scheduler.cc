@@ -6,13 +6,25 @@
 
 namespace slim {
 
+namespace {
+
+// Quantum at the upper priority levels; the bottom level runs 3x longer slices (the
+// classic MLFQ trade of responsiveness at the top for efficiency at the bottom). Slices
+// are not preempted mid-quantum, so a long bottom-level slice is exactly what delays a
+// freshly-woken interactive burst.
+constexpr SimDuration kQuantum = Milliseconds(10);
+constexpr int kPriorityLevels = 3;
+// Quantum stretch factor per unit of memory overcommit beyond RAM
+// (slowdown = 1 + factor * max(0, resident/ram - 1)).
+constexpr double kPagingPenalty = 4.0;
+
+}  // namespace
+
 MpScheduler::MpScheduler(Simulator* sim, SchedulerOptions options)
     : sim_(sim), options_(options) {
   SLIM_CHECK(sim != nullptr);
   SLIM_CHECK(options.cpus >= 1);
-  SLIM_CHECK(options.priority_levels >= 1);
-  SLIM_CHECK(options.quantum > 0);
-  queues_.resize(static_cast<size_t>(options.priority_levels));
+  queues_.resize(kPriorityLevels);
   cpu_busy_.assign(static_cast<size_t>(options.cpus), false);
 }
 
@@ -50,7 +62,7 @@ bool MpScheduler::Submit(int pid, SimDuration cpu_time, bool interactive,
   Burst burst;
   burst.pid = pid;
   burst.remaining = cpu_time;
-  burst.level = interactive ? 0 : options_.priority_levels - 1;
+  burst.level = interactive ? 0 : kPriorityLevels - 1;
   burst.on_complete = std::move(on_complete);
   queues_[static_cast<size_t>(burst.level)].push_back(std::move(burst));
   TryDispatch();
@@ -91,11 +103,11 @@ void MpScheduler::TryDispatch() {
 }
 
 void MpScheduler::RunSlice(int cpu, Burst burst) {
-  const bool bottom = burst.level == options_.priority_levels - 1;
-  const SimDuration level_quantum = bottom ? 3 * options_.quantum : options_.quantum;
+  const bool bottom = burst.level == kPriorityLevels - 1;
+  const SimDuration level_quantum = bottom ? 3 * kQuantum : kQuantum;
   const SimDuration slice = std::min(level_quantum, burst.remaining);
   // Paging stretches wall-clock time without adding useful CPU work.
-  const double stretch = 1.0 + options_.paging_penalty * MemoryOvercommit();
+  const double stretch = 1.0 + kPagingPenalty * MemoryOvercommit();
   const auto wall = static_cast<SimDuration>(static_cast<double>(slice) * stretch);
   sim_->Schedule(wall, [this, cpu, b = std::move(burst), slice]() mutable {
     busy_time_ += slice;
@@ -112,11 +124,11 @@ void MpScheduler::RunSlice(int cpu, Burst burst) {
         return;
       }
     } else {
-      // Used a full quantum without sleeping: demote after quanta_per_level of them.
-      if (++b.quanta_at_level >= options_.quanta_per_level) {
-        b.level = std::min(b.level + 1, options_.priority_levels - 1);
-        b.quanta_at_level = 0;
-      }
+      // Used a full quantum without sleeping: demote one level. A freshly-woken burst thus
+      // descends one level per quantum: a 30 ms interactive burst touches the bottom level
+      // briefly, while a long hog lives there - which is what produces the paper's Figure 9
+      // latency knees.
+      b.level = std::min(b.level + 1, kPriorityLevels - 1);
       queues_[static_cast<size_t>(b.level)].push_back(std::move(b));
     }
     TryDispatch();

@@ -27,21 +27,7 @@ namespace slim {
 
 struct SchedulerOptions {
   int cpus = 1;
-  // Quantum at the upper priority levels; the bottom level runs 3x longer slices (the
-  // classic MLFQ trade of responsiveness at the top for efficiency at the bottom). Slices
-  // are not preempted mid-quantum, so a long bottom-level slice is exactly what delays a
-  // freshly-woken interactive burst.
-  SimDuration quantum = Milliseconds(10);
-  int priority_levels = 3;
-  // Consecutive full quanta a burst may consume at one level before demotion. With the
-  // default of 1, a freshly-woken burst descends one level per quantum: a 30 ms interactive
-  // burst touches the bottom level briefly, while a long hog lives there - which is what
-  // produces the paper's Figure 9 latency knees.
-  int quanta_per_level = 1;
   int64_t ram_bytes = 4LL * 1024 * 1024 * 1024;
-  // Quantum stretch factor per unit of memory overcommit beyond RAM
-  // (slowdown = 1 + factor * max(0, resident/ram - 1)).
-  double paging_penalty = 4.0;
 };
 
 class MpScheduler {
@@ -76,7 +62,6 @@ class MpScheduler {
     int pid = -1;
     SimDuration remaining = 0;
     int level = 0;
-    int quanta_at_level = 0;
     CompletionFn on_complete;
   };
 

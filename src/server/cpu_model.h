@@ -16,38 +16,35 @@ namespace slim {
 
 struct ServerCpuModel {
   // Request dispatch: protocol parsing, clipping, GC validation per drawing request.
-  SimDuration per_request = Microseconds(12);
+  static constexpr SimDuration kPerRequest = Microseconds(12);
   // Software rasterization into the virtual framebuffer.
-  double render_ns_per_pixel = 6.0;
-  double render_ns_per_glyph = 900.0;
+  static constexpr double kRenderNsPerPixel = 6.0;
+  static constexpr double kRenderNsPerGlyph = 900.0;
   // Screen-to-screen copies move words without rasterizing: much cheaper per pixel.
-  double copy_ns_per_pixel = 1.5;
+  static constexpr double kCopyNsPerPixel = 1.5;
   // SLIM virtual device driver: damage analysis and command generation.
-  SimDuration encode_per_command = Microseconds(3);
-  double encode_ns_per_pixel = 1.2;
+  static constexpr SimDuration kEncodePerCommand = Microseconds(3);
+  static constexpr double kEncodeNsPerPixel = 1.2;
   // Network transmission CPU cost: a fixed per-send cost (socket call, header build,
   // driver handoff) plus a per-byte cost (copy + checksum). This is what x11perf loses when
   // display data actually goes out on the IF (3.834 vs 7.505 Xmarks).
-  SimDuration per_send = Microseconds(45);
-  double wire_ns_per_byte = 70.0;
-  // Input event delivery to the application (device driver + event queue).
-  SimDuration input_dispatch = Microseconds(80);
+  static constexpr SimDuration kPerSend = Microseconds(45);
+  static constexpr double kWireNsPerByte = 70.0;
 
-  SimDuration RenderCost(int64_t pixels, int glyphs = 0) const {
-    return per_request +
-           static_cast<SimDuration>(render_ns_per_pixel * static_cast<double>(pixels)) +
-           static_cast<SimDuration>(render_ns_per_glyph * glyphs);
+  static SimDuration RenderCost(int64_t pixels, int glyphs = 0) {
+    return kPerRequest +
+           static_cast<SimDuration>(kRenderNsPerPixel * static_cast<double>(pixels)) +
+           static_cast<SimDuration>(kRenderNsPerGlyph * glyphs);
   }
-  SimDuration CopyCost(int64_t pixels) const {
-    return per_request +
-           static_cast<SimDuration>(copy_ns_per_pixel * static_cast<double>(pixels));
+  static SimDuration CopyCost(int64_t pixels) {
+    return kPerRequest + static_cast<SimDuration>(kCopyNsPerPixel * static_cast<double>(pixels));
   }
-  SimDuration EncodeCost(int64_t pixels, int commands) const {
-    return encode_per_command * commands +
-           static_cast<SimDuration>(encode_ns_per_pixel * static_cast<double>(pixels));
+  static SimDuration EncodeCost(int64_t pixels, int commands) {
+    return kEncodePerCommand * commands +
+           static_cast<SimDuration>(kEncodeNsPerPixel * static_cast<double>(pixels));
   }
-  SimDuration WireCost(int64_t bytes) const {
-    return per_send + static_cast<SimDuration>(wire_ns_per_byte * static_cast<double>(bytes));
+  static SimDuration WireCost(int64_t bytes) {
+    return kPerSend + static_cast<SimDuration>(kWireNsPerByte * static_cast<double>(bytes));
   }
 };
 

@@ -120,11 +120,9 @@ SimTime ServerPool::TakeBlackoutStart(uint64_t card_id) {
 
 // --- MigrationManager ---
 
-MigrationManager::MigrationManager(SlimServer* server, ServerPool* pool,
-                                   MigrationOptions options)
-    : server_(server), pool_(pool), options_(options) {
+MigrationManager::MigrationManager(SlimServer* server, ServerPool* pool)
+    : server_(server), pool_(pool) {
   SLIM_CHECK(server != nullptr && pool != nullptr);
-  SLIM_CHECK(options_.chunk_bytes > 0);
 }
 
 uint64_t MigrationManager::NewEpoch() {
@@ -142,8 +140,9 @@ SessionCheckpoint MigrationManager::Capture(uint64_t card_id, ServerSession& ses
 }
 
 void MigrationManager::SendRound(Outgoing& out, MigratePurpose purpose) {
-  const uint32_t chunk_count = static_cast<uint32_t>(
-      (out.blob.size() + options_.chunk_bytes - 1) / options_.chunk_bytes);
+  constexpr size_t kChunkBytes = MigrationOptions::kChunkBytes;
+  const uint32_t chunk_count =
+      static_cast<uint32_t>((out.blob.size() + kChunkBytes - 1) / kChunkBytes);
   MigrateBeginMsg begin;
   begin.epoch = out.epoch;
   begin.card_id = out.card_id;
@@ -157,8 +156,8 @@ void MigrationManager::SendRound(Outgoing& out, MigratePurpose purpose) {
   server_->Transmit(out.peer, 0, begin, 0, out.flow);
   ++stats_.begins_sent;
   for (uint32_t i = 0; i < chunk_count; ++i) {
-    const size_t offset = static_cast<size_t>(i) * options_.chunk_bytes;
-    const size_t len = std::min(options_.chunk_bytes, out.blob.size() - offset);
+    const size_t offset = static_cast<size_t>(i) * kChunkBytes;
+    const size_t len = std::min(kChunkBytes, out.blob.size() - offset);
     CheckpointChunkMsg chunk;
     chunk.epoch = out.epoch;
     chunk.round = out.round;
@@ -198,9 +197,7 @@ bool MigrationManager::StartMigration(uint64_t card_id, SlimServer* dest) {
   out.blob = EncodeCheckpoint(Capture(card_id, *session));
   checkpoint_stats_.capture_bytes += static_cast<int64_t>(out.blob.size());
   out.flow = kMigrationFlowBit ^ out.epoch;
-  if (options_.rate_bps > 0) {
-    server_->tx_->SetFlowRate(out.flow, options_.rate_bps, options_.burst_window);
-  }
+  server_->tx_->SetFlowRate(out.flow, MigrationOptions::kRateBps, MigrationOptions::kBurstWindow);
   const uint64_t epoch = out.epoch;
   outgoing_[epoch] = std::move(out);
   SendRound(outgoing_[epoch], MigratePurpose::kHandoff);
@@ -218,13 +215,12 @@ void MigrationManager::ArmSourceTimer(uint64_t epoch) {
     server_->simulator()->Cancel(it->second.timer);
   }
   // The ack cannot arrive before the paced blob has even drained: budget the transfer
-  // time at the configured rate on top of the ack window, or a multi-megabyte checkpoint
-  // would be re-sent (and eventually aborted) mid-flight.
-  SimDuration timeout = options_.ack_timeout;
-  if (options_.rate_bps > 0) {
-    timeout += static_cast<SimDuration>(
-        static_cast<double>(it->second.blob.size()) * 8.0 / options_.rate_bps * kSecond);
-  }
+  // time at kRateBps on top of the ack window, or a multi-megabyte checkpoint would be
+  // re-sent (and eventually aborted) mid-flight.
+  const SimDuration timeout =
+      MigrationOptions::kAckTimeout +
+      static_cast<SimDuration>(static_cast<double>(it->second.blob.size()) * 8.0 /
+                               MigrationOptions::kRateBps * kSecond);
   it->second.timer = server_->simulator()->Schedule(
       timeout, [this, epoch] { OnSourceTimeout(epoch); });
 }
@@ -238,7 +234,7 @@ void MigrationManager::OnSourceTimeout(uint64_t epoch) {
   out.timer = kInvalidEventId;
   ++out.retries;
   ++stats_.retries;
-  if (!pool_->alive(out.dest) || out.retries > options_.max_retries) {
+  if (!pool_->alive(out.dest) || out.retries > MigrationOptions::kMaxRetries) {
     // The destination is gone or unreachable: keep the session here. If it was frozen the
     // console was already released — it stays detached on this (still-owning) server until
     // the card shows up somewhere again.
@@ -454,11 +450,11 @@ void MigrationManager::ArmDestTimer(uint64_t epoch) {
   // Mirror of the source timer's budget: while a round is still reassembling, its chunks
   // are draining through the source's paced flow, so a flat ack window would garbage-
   // collect a perfectly healthy multi-megabyte transfer mid-flight. Both servers run the
-  // same MigrationOptions, so the source's configured rate prices the wait here too.
-  SimDuration timeout = options_.ack_timeout;
-  if (options_.rate_bps > 0 && it->second.received < it->second.chunk_count) {
+  // same MigrationOptions, so the source's rate prices the wait here too.
+  SimDuration timeout = MigrationOptions::kAckTimeout;
+  if (it->second.received < it->second.chunk_count) {
     timeout += static_cast<SimDuration>(static_cast<double>(it->second.total_bytes) * 8.0 /
-                                        options_.rate_bps * kSecond);
+                                        MigrationOptions::kRateBps * kSecond);
   }
   it->second.timer = server_->simulator()->Schedule(
       timeout, [this, epoch] { OnDestTimeout(epoch); });
@@ -491,7 +487,7 @@ void MigrationManager::OnDestTimeout(uint64_t epoch) {
   ++in.retries;
   ++stats_.retries;
   SlimServer* source = pool_->ServerForNode(in.from);
-  if (in.retries > options_.max_retries && (source == nullptr || !pool_->alive(source))) {
+  if (in.retries > MigrationOptions::kMaxRetries && (source == nullptr || !pool_->alive(source))) {
     // The source died after we staged (maybe after it committed — its phase-2 will never
     // come). Nobody else can own the session, and our staged copy is the freshest state
     // in the pool: adopt it. If the source had NOT committed this would double-own — but
@@ -578,7 +574,7 @@ void MigrationManager::OnMigrateCommit(const MigrateCommitMsg& msg, NodeId from)
     // another delta-as-full-copy round with the source still serving.
     std::vector<uint8_t> blob = EncodeCheckpoint(Capture(out.card_id, *session));
     checkpoint_stats_.capture_bytes += static_cast<int64_t>(blob.size());
-    if (blob != out.blob && out.round + 1 < options_.max_precopy_rounds) {
+    if (blob != out.blob && out.round + 1 < MigrationOptions::kMaxPrecopyRounds) {
       out.blob = std::move(blob);
       ++out.round;
       ++stats_.rounds_sent;
@@ -737,9 +733,8 @@ void MigrationManager::EnableStandby(SlimServer* standby, SimDuration interval) 
   standby_ = standby;
   standby_interval_ = interval;
   standby_flow_ = kMigrationFlowBit | 1;
-  if (options_.rate_bps > 0) {
-    server_->tx_->SetFlowRate(standby_flow_, options_.rate_bps, options_.burst_window);
-  }
+  server_->tx_->SetFlowRate(standby_flow_, MigrationOptions::kRateBps,
+                            MigrationOptions::kBurstWindow);
   server_->simulator()->ScheduleDaemon(standby_interval_, [this] { StandbyTick(); });
 }
 

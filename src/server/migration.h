@@ -61,23 +61,24 @@ class MigrationManager;
 class ServerSession;
 class SlimServer;
 
+// The migration protocol's constants; every server in a pool runs the same ones.
 struct MigrationOptions {
   // Checkpoint blobs travel in slices of at most this many bytes per CheckpointChunkMsg
   // (the transport further fragments to the MTU underneath).
-  size_t chunk_bytes = 16 * 1024;
+  static constexpr size_t kChunkBytes = 16 * 1024;
   // Token-bucket rate for the bulk transfer so a multi-megabyte checkpoint cannot starve
-  // interactive traffic sharing the transmit queue; <= 0 sends unpaced.
-  int64_t rate_bps = 20'000'000;
-  SimDuration burst_window = 50 * kMillisecond;
+  // interactive traffic sharing the transmit queue.
+  static constexpr int64_t kRateBps = 20'000'000;
+  static constexpr SimDuration kBurstWindow = 50 * kMillisecond;
   // Source: re-send the current round (Begin + chunks) when no phase-1 ack arrives within
-  // this; give up and abort after max_retries re-sends. Destination: re-send phase-1 on
+  // this; give up and abort after kMaxRetries re-sends. Destination: re-send phase-1 on
   // the same cadence (it never gives up while the source is alive — the source's abort is
   // the only thing that can kill a staged handoff, see the header comment).
-  SimDuration ack_timeout = 100 * kMillisecond;
-  int max_retries = 10;
+  static constexpr SimDuration kAckTimeout = 100 * kMillisecond;
+  static constexpr int kMaxRetries = 10;
   // Pre-copy rounds before the source freezes regardless of dirtiness. Round 0 is the
   // initial full copy; at most this many total rounds precede the freeze.
-  uint32_t max_precopy_rounds = 4;
+  static constexpr uint32_t kMaxPrecopyRounds = 4;
 };
 
 // Counters for the migration protocol, readable directly and through the registry
@@ -181,9 +182,8 @@ class ServerPool {
 // attach path for cross-server pulls and failover restores.
 class MigrationManager {
  public:
-  MigrationManager(SlimServer* server, ServerPool* pool, MigrationOptions options);
+  MigrationManager(SlimServer* server, ServerPool* pool);
 
-  const MigrationOptions& options() const { return options_; }
   const MigrationStats& stats() const { return stats_; }
   const CheckpointStats& checkpoint_stats() const { return checkpoint_stats_; }
 
@@ -294,7 +294,6 @@ class MigrationManager {
 
   SlimServer* server_;
   ServerPool* pool_;
-  MigrationOptions options_;
   MigrationStats stats_;
   CheckpointStats checkpoint_stats_;
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "src/codec/decoder.h"
 #include "src/obs/latency_audit.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/server/cpu_model.h"
 #include "src/server/slim_server.h"
 #include "src/util/check.h"
 #include "src/xproto/xcost.h"
@@ -29,13 +31,8 @@ constexpr int64_t kCoalesceWatermark = 8;
 
 }  // namespace
 
-ServerSession::ServerSession(SlimServer* server, uint32_t id, int32_t width, int32_t height,
-                             EncoderOptions encoder_options)
-    : server_(server),
-      id_(id),
-      fb_(width, height),
-      encoder_(encoder_options),
-      tracker_(width, height) {
+ServerSession::ServerSession(SlimServer* server, uint32_t id, int32_t width, int32_t height)
+    : server_(server), id_(id), fb_(width, height), tracker_(width, height) {
   SLIM_CHECK(server != nullptr);
 }
 
@@ -210,12 +207,12 @@ void ServerSession::FillRect(const Rect& r, Pixel color) {
   }
   MirrorVideo();
   const SimTime now = server_->simulator()->now();
-  render_time_ += server_->options().cpu.RenderCost(clipped.area());
+  render_time_ += ServerCpuModel::RenderCost(clipped.area());
   log_.RecordXRequest(now, XFillRectBytes());
   fb_.Fill(clipped, color);
   // Fills pass straight through the driver: the rectangle is already in protocol form.
   damage_.Subtract(clipped);
-  QueueCommand(FillCommand{clipped, color});
+  pending_.emplace_back(std::in_place_type<FillCommand>, clipped, color);
   // The FILL bypasses the encoder (and thus refinement), so mirror it into the shadow.
   tracker_.SyncRect(fb_, clipped);
 }
@@ -236,8 +233,7 @@ void ServerSession::DrawGlyphs(int32_t x, int32_t y, std::span<const GlyphBitmap
   if (!dirty.empty()) {
     damage_.Add(dirty);
   }
-  render_time_ +=
-      server_->options().cpu.RenderCost(dirty.area(), static_cast<int>(glyphs.size()));
+  render_time_ += ServerCpuModel::RenderCost(dirty.area(), static_cast<int>(glyphs.size()));
   log_.RecordXRequest(now, XDrawTextBytes(static_cast<int>(glyphs.size())));
 }
 
@@ -250,7 +246,7 @@ void ServerSession::PutImage(const Rect& r, std::span<const Pixel> pixels) {
   const SimTime now = server_->simulator()->now();
   fb_.SetPixels(r, pixels);
   damage_.Add(clipped);
-  render_time_ += server_->options().cpu.RenderCost(clipped.area());
+  render_time_ += ServerCpuModel::RenderCost(clipped.area());
   log_.RecordXRequest(now, XPutImageBytes(clipped.area()));
 }
 
@@ -269,11 +265,12 @@ void ServerSession::CopyArea(int32_t src_x, int32_t src_y, const Rect& dst) {
   MirrorVideo();
   EncodeDamageToPending();
   fb_.CopyRect(shifted_src_x, shifted_src_y, clipped);
-  render_time_ += server_->options().cpu.CopyCost(clipped.area());
+  render_time_ += ServerCpuModel::CopyCost(clipped.area());
   log_.RecordXRequest(now, XCopyAreaBytes());
   const Rect src_rect{shifted_src_x, shifted_src_y, clipped.w, clipped.h};
   if (fb_.bounds().ContainsRect(src_rect)) {
-    QueueCommand(CopyCommand{shifted_src_x, shifted_src_y, clipped});
+    pending_.emplace_back(std::in_place_type<CopyCommand>, shifted_src_x, shifted_src_y,
+                          clipped);
     // Damage was encoded (and the shadow synced) just above, so copying the already-
     // updated fb pixels into the shadow equals applying the COPY the console will apply.
     tracker_.SyncRect(fb_, clipped);
@@ -327,7 +324,7 @@ void ServerSession::TransmitVideoFrame(CscsCommand cmd) {
   // CSCS bypasses the encoder. The session keeps the frame instead of decoding it; a newer
   // frame at this dst may replace it before anything reads the framebuffer.
   unmirrored_video_ = cmd;
-  QueueCommand(std::move(cmd));
+  pending_.push_back(std::move(cmd));
   Flush();
 }
 
@@ -445,8 +442,6 @@ void ServerSession::ForceRepaintAll() {
   RepaintAll();
 }
 
-void ServerSession::QueueCommand(DisplayCommand cmd) { pending_.push_back(std::move(cmd)); }
-
 void ServerSession::EncodeDamageToPending() {
   if (damage_.empty()) {
     return;
@@ -460,7 +455,7 @@ void ServerSession::EncodeDamageToPending() {
   std::vector<DisplayCommand> scroll_cmds;
   const Region refined = tracker_.Refine(fb_, damage_, kScrollMaxShift, &scroll_cmds);
   for (auto& cmd : scroll_cmds) {
-    QueueCommand(std::move(cmd));
+    pending_.push_back(std::move(cmd));
   }
   if (!refined.empty()) {
     std::vector<DisplayCommand> cmds = encoder_.EncodeDamage(fb_, refined);
@@ -469,7 +464,7 @@ void ServerSession::EncodeDamageToPending() {
       pixels += AffectedPixels(cmd);
       pending_.push_back(std::move(cmd));
     }
-    encode_time_ += server_->options().cpu.EncodeCost(pixels, static_cast<int>(cmds.size()));
+    encode_time_ += ServerCpuModel::EncodeCost(pixels, static_cast<int>(cmds.size()));
   }
   damage_.Clear();
 }
@@ -482,7 +477,7 @@ void ServerSession::TransmitPending() {
     log_.RecordCommand(now, cmd);
     ++commands_sent_;
     bytes_sent_ += static_cast<int64_t>(bytes);
-    const SimDuration wire_cost = server_->options().cpu.WireCost(static_cast<int64_t>(bytes));
+    const SimDuration wire_cost = ServerCpuModel::WireCost(static_cast<int64_t>(bytes));
     wire_time_ += wire_cost;
     if (attached()) {
       // CSCS frames bill the video library's flow; every other display command is the

@@ -20,7 +20,6 @@
 #include "src/fb/framebuffer.h"
 #include "src/net/fabric.h"
 #include "src/protocol/messages.h"
-#include "src/server/cpu_model.h"
 #include "src/sim/simulator.h"
 #include "src/trace/protocol_log.h"
 
@@ -41,8 +40,7 @@ class SlimServer;
 
 class ServerSession {
  public:
-  ServerSession(SlimServer* server, uint32_t id, int32_t width, int32_t height,
-                EncoderOptions encoder_options = {});
+  ServerSession(SlimServer* server, uint32_t id, int32_t width, int32_t height);
 
   uint32_t id() const { return id_; }
 
@@ -162,7 +160,6 @@ class ServerSession {
   void RestoreFromCheckpoint(const SessionCheckpoint& ckpt);
 
  private:
-  void QueueCommand(DisplayCommand cmd);
   void EncodeDamageToPending();
   void TransmitPending();
 

@@ -89,18 +89,16 @@ SlimServer::SlimServer(Simulator* sim, Fabric* fabric, ServerOptions options)
 
 SlimServer::~SlimServer() = default;
 
-MigrationManager& SlimServer::EnableMigration(ServerPool& pool,
-                                              const MigrationOptions& options) {
+MigrationManager& SlimServer::EnableMigration(ServerPool& pool, const MigrationOptions&) {
   SLIM_CHECK(migration_ == nullptr);
-  migration_ = std::make_unique<MigrationManager>(this, &pool, options);
+  migration_ = std::make_unique<MigrationManager>(this, &pool);
   pool.Register(this, migration_.get());
   return *migration_;
 }
 
 std::unique_ptr<ServerSession> SlimServer::BuildStagedSession(const SessionCheckpoint& ckpt) {
   const uint32_t id = next_session_id_++;
-  auto session =
-      std::make_unique<ServerSession>(this, id, ckpt.width, ckpt.height, options_.encoder);
+  auto session = std::make_unique<ServerSession>(this, id, ckpt.width, ckpt.height);
   session->RestoreFromCheckpoint(ckpt);
   return session;
 }
@@ -174,7 +172,7 @@ ServerSession& SlimServer::CreateSession(uint64_t card_id) {
   }
   const uint32_t id = next_session_id_++;
   auto session = std::make_unique<ServerSession>(this, id, options_.session_width,
-                                                 options_.session_height, options_.encoder);
+                                                 options_.session_height);
   ServerSession& ref = *session;
   sessions_[id] = std::move(session);
   card_to_session_[card_id] = id;

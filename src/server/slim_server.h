@@ -19,7 +19,6 @@
 
 #include "src/net/fabric.h"
 #include "src/net/transport.h"
-#include "src/server/cpu_model.h"
 #include "src/server/lifecycle.h"
 #include "src/server/session.h"
 #include "src/server/transmit_queue.h"
@@ -100,8 +99,6 @@ struct PacingStats {
 struct ServerOptions {
   int32_t session_width = 1280;
   int32_t session_height = 1024;
-  EncoderOptions encoder;
-  ServerCpuModel cpu;
   // When true, Flush() defers transmission by the simulated render/encode/wire CPU time on
   // a single busy-server pipeline (used by the response-time experiments). When false,
   // transmission is immediate and CPU time is only accounted (used for trace generation).
@@ -175,7 +172,8 @@ class SlimServer {
 
   // --- Server pool / migration (src/server/migration.h, DESIGN.md §9) ---
   // Joins `pool` and enables the migration protocol on this server. Call at most once.
-  MigrationManager& EnableMigration(ServerPool& pool, const MigrationOptions& options);
+  // The protocol's settings are MigrationOptions' constants, so the argument is unused.
+  MigrationManager& EnableMigration(ServerPool& pool, const MigrationOptions&);
   MigrationManager* migration() { return migration_.get(); }
 
   // Constructs an unregistered session restored from `ckpt` (fresh local id, checkpoint

@@ -142,15 +142,6 @@ SimDuration TransmitQueue::PaceBacklog(uint64_t flow_id) const {
   return std::max<SimDuration>(it->second.wire_until - sim_->now(), 0);
 }
 
-SimTime TransmitQueue::FlowReadyAt(uint64_t flow_id) const {
-  const SimTime now = sim_->now();
-  const auto it = pacers_.find(flow_id);
-  if (it == pacers_.end()) {
-    return now;
-  }
-  return std::max(now, it->second.wire_until - it->second.burst);
-}
-
 int64_t TransmitQueue::PurgeSession(uint32_t session_id) {
   const auto pending = pending_by_session_.find(session_id);
   if (pending == pending_by_session_.end()) {

@@ -63,8 +63,6 @@ class TransmitQueue {
   int64_t flow_rate(uint64_t flow_id) const;
   // How far the flow's accepted bytes run ahead of the clock (0 when idle/unpaced).
   SimDuration PaceBacklog(uint64_t flow_id) const;
-  // Earliest time the flow's next byte could depart (now when the bucket has credit).
-  SimTime FlowReadyAt(uint64_t flow_id) const;
 
   // Cancels every still-queued send of one session (released/evicted: the console will
   // blank, the bytes are worthless) and clears its depth. Returns how many were dropped.

@@ -47,7 +47,7 @@ void MediaPipeline::Tick(int index) {
   YuvImage frame = producer_(index, &produce_cost);
   const auto payload_bytes =
       static_cast<int64_t>(CscsPayloadBytes(frame.width(), frame.height(), options_.depth));
-  const SimDuration send_cost = options_.cpu.SendCost(payload_bytes);
+  const SimDuration send_cost = VideoCpuModel::SendCost(payload_bytes);
   cpu_busy_until_ = sim_->now() + produce_cost + send_cost;
   bytes_sent_ += payload_bytes;
   ++frames_sent_;

@@ -21,7 +21,6 @@ struct MediaPipelineOptions {
   double target_fps = 30.0;
   CscsDepth depth = CscsDepth::k6;
   Rect dst;                // on-screen destination (console upscales if larger than frames)
-  VideoCpuModel cpu;
   SimDuration run_for = Seconds(10);
 };
 

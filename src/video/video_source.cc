@@ -100,23 +100,22 @@ void SyntheticVideoSource::Render(int index, int32_t first_line, int32_t line_st
   }
 }
 
-SimDuration VideoCpuModel::MpegFrameCost(int64_t decode_pixels, int64_t sent_pixels) const {
-  return static_cast<SimDuration>(mpeg_decode_ns_per_pixel *
-                                  static_cast<double>(decode_pixels)) +
-         static_cast<SimDuration>(convert_ns_per_pixel * static_cast<double>(sent_pixels));
+SimDuration VideoCpuModel::MpegFrameCost(int64_t decode_pixels, int64_t sent_pixels) {
+  return static_cast<SimDuration>(kMpegDecodeNsPerPixel * static_cast<double>(decode_pixels)) +
+         static_cast<SimDuration>(kConvertNsPerPixel * static_cast<double>(sent_pixels));
 }
 
-SimDuration VideoCpuModel::JpegFieldCost(int64_t pixels) const {
-  return static_cast<SimDuration>((jpeg_decode_ns_per_pixel + convert_ns_per_pixel) *
+SimDuration VideoCpuModel::JpegFieldCost(int64_t pixels) {
+  return static_cast<SimDuration>((kJpegDecodeNsPerPixel + kConvertNsPerPixel) *
                                   static_cast<double>(pixels));
 }
 
-SimDuration VideoCpuModel::QuakeTranslateCost(int64_t pixels) const {
-  return static_cast<SimDuration>(translate_ns_per_pixel * static_cast<double>(pixels));
+SimDuration VideoCpuModel::QuakeTranslateCost(int64_t pixels) {
+  return static_cast<SimDuration>(kTranslateNsPerPixel * static_cast<double>(pixels));
 }
 
-SimDuration VideoCpuModel::SendCost(int64_t bytes) const {
-  return static_cast<SimDuration>(send_ns_per_byte * static_cast<double>(bytes));
+SimDuration VideoCpuModel::SendCost(int64_t bytes) {
+  return static_cast<SimDuration>(kSendNsPerByte * static_cast<double>(bytes));
 }
 
 }  // namespace slim

@@ -45,16 +45,16 @@ class SyntheticVideoSource {
 // JPEG NTSC field decode fully consumes one; Quake translation costs 30 ms/frame and its
 // transmission 13 ms/frame at 640x480).
 struct VideoCpuModel {
-  double mpeg_decode_ns_per_pixel = 60.0;   // full-frame MPEG-II decode
-  double jpeg_decode_ns_per_pixel = 250.0;  // JPEG field decompression
-  double convert_ns_per_pixel = 60.0;       // YUV extraction / packing for CSCS
-  double translate_ns_per_pixel = 97.0;     // Quake 8-bit -> 5-bit YUV table lookup
-  double send_ns_per_byte = 30.0;           // UDP transmit path
+  static constexpr double kMpegDecodeNsPerPixel = 60.0;   // full-frame MPEG-II decode
+  static constexpr double kJpegDecodeNsPerPixel = 250.0;  // JPEG field decompression
+  static constexpr double kConvertNsPerPixel = 60.0;      // YUV extraction / packing for CSCS
+  static constexpr double kTranslateNsPerPixel = 97.0;    // Quake 8-bit -> 5-bit YUV table lookup
+  static constexpr double kSendNsPerByte = 30.0;          // UDP transmit path
 
-  SimDuration MpegFrameCost(int64_t decode_pixels, int64_t sent_pixels) const;
-  SimDuration JpegFieldCost(int64_t pixels) const;
-  SimDuration QuakeTranslateCost(int64_t pixels) const;
-  SimDuration SendCost(int64_t bytes) const;
+  static SimDuration MpegFrameCost(int64_t decode_pixels, int64_t sent_pixels);
+  static SimDuration JpegFieldCost(int64_t pixels);
+  static SimDuration QuakeTranslateCost(int64_t pixels);
+  static SimDuration SendCost(int64_t bytes);
 };
 
 }  // namespace slim

@@ -7,12 +7,18 @@
 
 namespace slim {
 
+namespace {
+
+// Server CPU cost of scanning one pixel of the framebuffer for the delta.
+constexpr double kDiffNsPerPixel = 2.0;
+
+}  // namespace
+
 VncViewerSystem::VncViewerSystem(Simulator* sim, Fabric* fabric, ServerSession* source,
                                  VncOptions options)
     : sim_(sim),
       source_(source),
       options_(options),
-      encoder_(options.encoder),
       shadow_(source->framebuffer().width(), source->framebuffer().height()),
       viewer_fb_(source->framebuffer().width(), source->framebuffer().height()) {
   SLIM_CHECK(sim != nullptr && fabric != nullptr && source != nullptr);
@@ -49,8 +55,8 @@ void VncViewerSystem::OnServerMessage(const Message& msg, NodeId from) {
   // The client-pull cost: scan the whole framebuffer against the shadow generation...
   const Framebuffer& live = source_->framebuffer();
   const auto diff = shadow_.DiffWith(live);
-  const auto scan_cost = static_cast<SimDuration>(
-      options_.diff_ns_per_pixel * static_cast<double>(live.bounds().area()));
+  const auto scan_cost =
+      static_cast<SimDuration>(kDiffNsPerPixel * static_cast<double>(live.bounds().area()));
   diff_cpu_time_ += scan_cost;
   // ...then encode and send everything that changed, after the scan time has elapsed.
   sim_->Schedule(scan_cost, [this, damage = diff.damage, from]() {

@@ -28,9 +28,6 @@ struct VncOptions {
   // Viewer poll cadence. Real VNC viewers request as fast as the previous update completes;
   // on a LAN that is effectively a fixed small interval.
   SimDuration poll_interval = Milliseconds(50);
-  // Server CPU cost of scanning one pixel of the framebuffer for the delta.
-  double diff_ns_per_pixel = 2.0;
-  EncoderOptions encoder;
 };
 
 // Attaches a pull-model viewer to a ServerSession's framebuffer. The session should have no

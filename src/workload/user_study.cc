@@ -10,18 +10,26 @@
 
 namespace slim {
 
+namespace {
+
+// Every session runs on a full Sun Ray desktop, on the server and on the console.
+constexpr int32_t kScreenWidth = 1280;
+constexpr int32_t kScreenHeight = 1024;
+
+}  // namespace
+
 UserSessionResult RunUserSession(const UserSessionConfig& config) {
   Simulator sim;
   Fabric fabric(&sim, FabricOptions{});  // 100 Mbps switched IF, the paper's default
 
   ServerOptions server_options;
-  server_options.session_width = config.width;
-  server_options.session_height = config.height;
+  server_options.session_width = kScreenWidth;
+  server_options.session_height = kScreenHeight;
   SlimServer server(&sim, &fabric, server_options);
 
   ConsoleOptions console_options;
-  console_options.width = config.width;
-  console_options.height = config.height;
+  console_options.width = kScreenWidth;
+  console_options.height = kScreenHeight;
   Console console(&sim, &fabric, console_options);
 
   // Smart-card login: issue a card, create the session, insert the card at the console.
@@ -35,10 +43,10 @@ UserSessionResult RunUserSession(const UserSessionConfig& config) {
   sim.Run();  // attach handshake + blank repaint
   app->Start();
   sim.Run();  // initial paint reaches the console
-  if (config.clear_log_after_start) {
-    session.log().Clear();
-    console.ClearServiceLog();
-  }
+  // The logs skip the initial paint: the paper's traces measure steady-state interaction,
+  // not login.
+  session.log().Clear();
+  console.ClearServiceLog();
 
   // Drive the user model through the console's input devices.
   UserModel user(config.kind, Rng(config.seed * 0xc0ffee + 17));
@@ -55,8 +63,8 @@ UserSessionResult RunUserSession(const UserSessionConfig& config) {
       if (event.is_key) {
         console.SendKey(server.node(), session.id(), event.keycode, /*pressed=*/true);
       } else {
-        const int32_t x = static_cast<int32_t>(click_rng.NextBelow(config.width));
-        const int32_t y = static_cast<int32_t>(click_rng.NextBelow(config.height));
+        const int32_t x = static_cast<int32_t>(click_rng.NextBelow(kScreenWidth));
+        const int32_t y = static_cast<int32_t>(click_rng.NextBelow(kScreenHeight));
         console.SendMouse(server.node(), session.id(), x, y, /*buttons=*/1,
                           /*is_motion=*/false);
       }

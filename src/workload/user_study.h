@@ -22,11 +22,6 @@ struct UserSessionConfig {
   AppKind kind = AppKind::kNetscape;
   uint64_t seed = 1;
   SimDuration duration = Seconds(600);
-  int32_t width = 1280;
-  int32_t height = 1024;
-  // Skip the initial Start() paint in the logs (the paper's traces measure steady-state
-  // interaction, not login).
-  bool clear_log_after_start = true;
 };
 
 struct UserSessionResult {

@@ -5,6 +5,7 @@
 
 #include "src/console/bandwidth.h"
 #include "src/console/console.h"
+#include "src/console/cost_model.h"
 #include "src/net/transport.h"
 #include "src/util/rng.h"
 
@@ -134,7 +135,7 @@ TEST(ConsoleSaturationTest, OverloadDropsCommands) {
 TEST(CostModelTest, MatchesTable5Constants) {
   const ConsoleCostModel model;
   auto cost_minus_dispatch = [&](const DisplayCommand& cmd) {
-    return model.CostOf(cmd) - model.dispatch_overhead;
+    return model.CostOf(cmd) - ConsoleCostModel::kDispatchOverhead;
   };
   SetCommand set;
   set.dst = Rect{0, 0, 100, 10};

@@ -133,7 +133,6 @@ TEST(IntegrationTest, VideoAndInteractiveSessionCoexist) {
   sim.Run();
 
   SyntheticVideoSource source(320, 240, 9);
-  VideoCpuModel cpu;
   MediaPipelineOptions options;
   options.target_fps = 24.0;
   options.depth = CscsDepth::k8;

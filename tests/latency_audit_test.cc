@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/apps/benchmark_apps.h"
 #include "src/console/console.h"
@@ -180,6 +185,27 @@ TEST(LatencyAuditTest, FinalizeAllFoldsOpenEventsAsIncomplete) {
   EXPECT_EQ(audit.events_completed(), 0);
 }
 
+TEST(LatencyAuditTest, LedgerFoldsOldestOpenEventsBeyondItsBound) {
+  // Inputs that never present must not grow the ledger: beyond kMaxOpenEvents open
+  // entries, each new input folds the oldest one as incomplete.
+  LatencyAudit audit;
+  constexpr int64_t kExtra = 3;
+  std::vector<int64_t> ids;
+  for (size_t i = 0; i < LatencyAudit::kMaxOpenEvents + kExtra; ++i) {
+    ids.push_back(audit.BeginInput(1, static_cast<SimTime>(i)));
+  }
+  EXPECT_EQ(audit.events_incomplete(), kExtra);
+  EXPECT_EQ(audit.events_completed(), 0);
+  // The folded entries are the oldest: the third is gone, the fourth still completes.
+  audit.EndInput(ids[kExtra - 1], 0, 0, 0, 0);
+  EXPECT_EQ(audit.events_completed(), 0);
+  audit.EndInput(ids[kExtra], 0, 0, 0, 0);
+  EXPECT_EQ(audit.events_completed(), 1);
+  audit.FinalizeAll();
+  EXPECT_EQ(audit.events_incomplete(),
+            static_cast<int64_t>(LatencyAudit::kMaxOpenEvents) + kExtra - 1);
+}
+
 TEST(LatencyAuditTest, BreachDumpsFlightRecorderAsValidTrace) {
   FlightRecorder recorder(/*capacity=*/256);
   Tracer::SetGlobal(&recorder);
@@ -216,6 +242,40 @@ TEST(LatencyAuditTest, BreachDumpsFlightRecorderAsValidTrace) {
   }
   EXPECT_TRUE(found) << "no audit.breach instant in the flight dump";
   std::remove(audit.last_flight_path().c_str());
+}
+
+TEST(LatencyAuditTest, FlightDumpsStopAtTheirCap) {
+  // Every breach past the first kMaxFlightDumps is still counted, but writes no file.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / ("flight_cap_" + std::to_string(getpid()));
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  FlightRecorder recorder(/*capacity=*/256);
+  Tracer::SetGlobal(&recorder);
+  LatencyAuditOptions options;
+  options.slo = Milliseconds(10);
+  options.flight_dir = dir.string();
+  LatencyAudit audit(options);
+  const NodeId console = 5;
+  constexpr int64_t kBreaches = LatencyAudit::kMaxFlightDumps + 2;
+  for (int64_t i = 0; i < kBreaches; ++i) {
+    // Each input presents 41 ms after dispatch, over the 10 ms budget.
+    const SimTime t0 = i * Milliseconds(100);
+    const auto seq = static_cast<uint64_t>(i + 1);
+    const int64_t id = audit.BeginInput(1, t0);
+    audit.NoteEnqueued(id);
+    audit.EndInput(id, 0, 0, 0, t0);
+    audit.NoteDeparture(id, console, seq, t0 + Milliseconds(1));
+    audit.NoteDecodeStart(console, seq, t0 + Milliseconds(40));
+    audit.NotePresent(console, seq, t0 + Milliseconds(41));
+  }
+  Tracer::SetGlobal(nullptr);
+  EXPECT_EQ(audit.breaches(), kBreaches);
+  EXPECT_EQ(audit.flight_dumps(), LatencyAudit::kMaxFlightDumps);
+  const auto files = std::distance(std::filesystem::directory_iterator(dir),
+                                   std::filesystem::directory_iterator());
+  EXPECT_EQ(files, LatencyAudit::kMaxFlightDumps);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(LatencyAuditTest, FullSessionAuditsEveryKeystroke) {

@@ -49,7 +49,6 @@ TEST(FabricTest, LatencyIsSerializationPlusPropagationTwice) {
   Simulator sim;
   FabricOptions options;
   options.link.bits_per_second = 100'000'000;
-  options.link.propagation = Microseconds(5);
   Fabric fabric(&sim, options);
   const NodeId a = fabric.AddNode();
   const NodeId b = fabric.AddNode();
@@ -114,7 +113,6 @@ TEST(FabricTest, HostUplinkAbsorbsBursts) {
   Simulator sim;
   FabricOptions options;
   options.link.queue_limit_bytes = 10'000;
-  options.host_queue_bytes = 8 * 1024 * 1024;
   Fabric fabric(&sim, options);
   const NodeId a = fabric.AddNode();
   (void)fabric.AddNode();

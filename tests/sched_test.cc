@@ -35,7 +35,6 @@ TEST(SchedulerTest, RejectsSecondBurstWhileInFlight) {
 TEST(SchedulerTest, TwoProcessesOnOneCpuShareViaQuanta) {
   Simulator sim;
   SchedulerOptions options;
-  options.quantum = Milliseconds(10);
   MpScheduler sched(&sim, options);
   const int a = sched.AddProcess(0);
   const int b = sched.AddProcess(0);
@@ -73,7 +72,6 @@ TEST(SchedulerTest, InteractiveBurstDoesNotWaitBehindHogBacklog) {
   // 3-second serial backlog.
   Simulator sim;
   SchedulerOptions options;
-  options.quantum = Milliseconds(10);
   MpScheduler sched(&sim, options);
   for (int i = 0; i < 3; ++i) {
     const int hog = sched.AddProcess(0);
@@ -96,7 +94,6 @@ TEST(SchedulerTest, InteractiveWaitBoundedRegardlessOfHogCount) {
   auto added_for_hogs = [](int hogs) {
     Simulator sim;
     SchedulerOptions options;
-    options.quantum = Milliseconds(10);
     MpScheduler sched(&sim, options);
     for (int i = 0; i < hogs; ++i) {
       sched.Submit(sched.AddProcess(0), Seconds(2), false, {});
@@ -120,7 +117,6 @@ TEST(SchedulerTest, MemoryOvercommitStretchesWallTime) {
   Simulator sim;
   SchedulerOptions options;
   options.ram_bytes = 100;
-  options.paging_penalty = 4.0;
   MpScheduler sched(&sim, options);
   const int pid = sched.AddProcess(150);  // 1.5x RAM => overcommit 0.5 => stretch 3x
   EXPECT_DOUBLE_EQ(sched.MemoryOvercommit(), 0.5);
