@@ -73,8 +73,7 @@ bool ApplyCommand(const DisplayCommand& cmd, Framebuffer* fb) {
         } else if constexpr (std::is_same_v<T, CopyCommand>) {
           fb->CopyRect(c.src_x, c.src_y, c.dst);
         } else {
-          const YuvImage image = UnpackCscsPayload(c.payload, c.src_w, c.src_h, c.depth);
-          fb->SetPixels(c.dst, YuvToRgbScaled(image, c.dst.w, c.dst.h));
+          DecodeCscsPayload(c.payload, c.src_w, c.src_h, c.depth, c.dst, fb);
         }
       },
       cmd);

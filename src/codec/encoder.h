@@ -46,8 +46,6 @@ class Encoder {
  public:
   explicit Encoder(EncoderOptions options = {});
 
-  const EncoderOptions& options() const { return options_; }
-
   // Encodes the current contents of fb over `damage` into commands. Applying the returned
   // commands to any framebuffer that matches fb outside the damage region makes it equal to
   // fb inside the damage region (the round-trip property tested in codec_test).

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <memory>
 
 #include "src/util/check.h"
 
@@ -101,142 +102,160 @@ std::array<uint8_t, 256> ExpandTable(int bits) {
   return table;
 }
 
+// Every depth subsamples chroma 2x horizontally, and 1x (4:2:2) or 2x (4:2:0) vertically.
 struct DepthSpec {
   int y_bits;
   int c_bits;
-  int c_sub_x;  // chroma subsample factor in x
-  int c_sub_y;  // chroma subsample factor in y
+  int32_t c_sub_y;  // chroma subsample factor in y
 };
 
 DepthSpec SpecFor(CscsDepth depth) {
   switch (depth) {
     case CscsDepth::k16:
-      return {8, 8, 2, 1};
+      return {8, 8, 1};
     case CscsDepth::k12:
-      return {8, 8, 2, 2};
+      return {8, 8, 2};
     case CscsDepth::k8:
-      return {6, 4, 2, 2};
+      return {6, 4, 2};
     case CscsDepth::k6:
-      return {4, 4, 2, 2};
+      return {4, 4, 2};
     case CscsDepth::k5:
-      return {4, 2, 2, 2};
+      return {4, 2, 2};
   }
   SLIM_CHECK(false);
 }
 
-// MSB-first bit packer into a buffer sized by CscsPayloadBytes; stores 32 bits at a time.
-class BitPacker {
- public:
-  explicit BitPacker(std::span<uint8_t> out) : out_(out) {}
+int32_t ChromaWidth(int32_t w) { return (w + 1) / 2; }
 
-  // Appends the low `bits` (1..8) bits of value.
-  void Put(uint32_t value, int bits) {
-    acc_ = (acc_ << bits) | value;
-    pending_ += bits;
-    if (pending_ >= 32) {
-      pending_ -= 32;
-      const auto word = static_cast<uint32_t>(acc_ >> pending_);
-      SLIM_DCHECK(pos_ + 4 <= out_.size());
-      out_[pos_] = static_cast<uint8_t>(word >> 24);
-      out_[pos_ + 1] = static_cast<uint8_t>(word >> 16);
-      out_[pos_ + 2] = static_cast<uint8_t>(word >> 8);
-      out_[pos_ + 3] = static_cast<uint8_t>(word);
-      pos_ += 4;
-    }
-  }
-
-  // Writes out the pending bits, zero-padding the last byte.
-  void AlignByte() {
-    if (pending_ % 8 != 0) {
-      Put(0, 8 - pending_ % 8);
-    }
-    for (; pending_ > 0; pending_ -= 8) {
-      SLIM_DCHECK(pos_ < out_.size());
-      out_[pos_++] = static_cast<uint8_t>(acc_ >> (pending_ - 8));
-    }
-  }
-
-  size_t size() const { return pos_; }
-
- private:
-  std::span<uint8_t> out_;
-  size_t pos_ = 0;
-  uint64_t acc_ = 0;
-  int pending_ = 0;  // bits in acc_ not yet stored
-};
-
-// MSB-first bit reader; bits past the end of the data read as zero.
-class BitUnpacker {
- public:
-  explicit BitUnpacker(std::span<const uint8_t> data) : data_(data) {}
-
-  // Reads `bits` (1..8) bits.
-  uint32_t Get(int bits) {
-    if (pending_ < bits) {
-      for (; pending_ <= 56; pending_ += 8, ++pos_) {
-        acc_ = (acc_ << 8) | (pos_ < data_.size() ? data_[pos_] : 0);
-      }
-    }
-    pending_ -= bits;
-    return static_cast<uint32_t>(acc_ >> pending_) & ((1u << bits) - 1);
-  }
-
-  // Skips the rest of a partly read byte.
-  void AlignByte() { pending_ -= pending_ % 8; }
-
- private:
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-  uint64_t acc_ = 0;
-  int pending_ = 0;  // bits loaded into acc_ and not yet read
-};
-
-// Averages each chroma block of a plane (only the pixels inside the image count) and packs
-// the quantized averages row-major.
-void PackChroma(std::span<const uint8_t> plane, int32_t w, int32_t h, const DepthSpec& spec,
-                BitPacker* out) {
-  for (int32_t y0 = 0; y0 < h; y0 += spec.c_sub_y) {
-    const int32_t rows = std::min(spec.c_sub_y, h - y0);
-    const uint8_t* block_row = plane.data() + static_cast<size_t>(y0) * w;
-    for (int32_t x0 = 0; x0 < w; x0 += spec.c_sub_x) {
-      const int32_t cols = std::min(spec.c_sub_x, w - x0);
-      int sum = 0;
-      for (int32_t dy = 0; dy < rows; ++dy) {
-        for (int32_t dx = 0; dx < cols; ++dx) {
-          sum += block_row[static_cast<size_t>(dy) * w + x0 + dx];
-        }
-      }
-      const int count = rows * cols;
-      const int avg = (sum + count / 2) / count;
-      out->Put(static_cast<uint32_t>(avg) >> (8 - spec.c_bits), spec.c_bits);
-    }
-  }
-  out->AlignByte();
+int32_t ChromaHeight(int32_t h, const DepthSpec& spec) {
+  return (h + spec.c_sub_y - 1) / spec.c_sub_y;
 }
 
-// Unpacks a chroma plane: each sample fills its block's span of one row, and that row is
-// copied down the rest of the block.
-void UnpackChroma(BitUnpacker* in, int32_t w, int32_t h, const DepthSpec& spec,
-                  std::span<uint8_t> plane) {
-  const std::array<uint8_t, 256> expand = ExpandTable(spec.c_bits);
-  for (int32_t y0 = 0; y0 < h; y0 += spec.c_sub_y) {
-    uint8_t* row = plane.data() + static_cast<size_t>(y0) * w;
-    for (int32_t x0 = 0; x0 < w; x0 += spec.c_sub_x) {
-      const uint8_t value = expand[in->Get(spec.c_bits)];
-      std::fill_n(row + x0, std::min(spec.c_sub_x, w - x0), value);
-    }
-    for (int32_t dy = 1; dy < spec.c_sub_y && y0 + dy < h; ++dy) {
-      std::memcpy(row + static_cast<size_t>(dy) * w, row, static_cast<size_t>(w));
+size_t PlaneBytes(size_t samples, int bits) { return (samples * bits + 7) / 8; }
+
+// Packs the top `bits` bits of n samples MSB-first, in groups of whole bytes (two 4-bit,
+// four 6-bit or four 2-bit samples), then the last partial group bit by bit with zero
+// padding. Returns the end of the plane's bytes.
+uint8_t* PackPlane(const uint8_t* in, size_t n, int bits, uint8_t* out) {
+  size_t i = 0;
+  switch (bits) {
+    case 8:
+      std::memcpy(out, in, n);
+      return out + n;
+    case 6:
+      for (; i + 4 <= n; i += 4, out += 3) {
+        const uint32_t group = (in[i] >> 2) << 18 | (in[i + 1] >> 2) << 12 |
+                               (in[i + 2] >> 2) << 6 | in[i + 3] >> 2;
+        out[0] = static_cast<uint8_t>(group >> 16);
+        out[1] = static_cast<uint8_t>(group >> 8);
+        out[2] = static_cast<uint8_t>(group);
+      }
+      break;
+    case 4:
+      for (; i + 2 <= n; i += 2) {
+        *out++ = static_cast<uint8_t>((in[i] & 0xf0) | in[i + 1] >> 4);
+      }
+      break;
+    case 2:
+      for (; i + 4 <= n; i += 4) {
+        *out++ = static_cast<uint8_t>((in[i] & 0xc0) | (in[i + 1] & 0xc0) >> 2 |
+                                      (in[i + 2] & 0xc0) >> 4 | in[i + 3] >> 6);
+      }
+      break;
+  }
+  uint32_t acc = 0;
+  int pending = 0;  // bits in acc not yet stored
+  for (; i < n; ++i) {
+    acc = (acc << bits) | (in[i] >> (8 - bits));
+    pending += bits;
+    if (pending >= 8) {
+      pending -= 8;
+      *out++ = static_cast<uint8_t>(acc >> pending);
     }
   }
-  in->AlignByte();
+  if (pending > 0) {
+    *out++ = static_cast<uint8_t>(acc << (8 - pending));
+  }
+  return out;
 }
 
-size_t PlaneBits(int64_t samples, int bits) { return static_cast<size_t>(samples) * bits; }
+// The inverse of PackPlane: n samples of `bits` bits, expanded to 8 bits by bit
+// replication. Reads exactly PlaneBytes(n, bits) bytes, so the padding bits of the last
+// byte are skipped whatever they hold; returns the end of them.
+const uint8_t* UnpackPlane(const uint8_t* in, size_t n, int bits, uint8_t* out) {
+  const std::array<uint8_t, 256> expand = ExpandTable(bits);
+  size_t i = 0;
+  switch (bits) {
+    case 8:
+      std::memcpy(out, in, n);
+      return in + n;
+    case 6:
+      for (; i + 4 <= n; i += 4, in += 3) {
+        const uint32_t group = uint32_t{in[0]} << 16 | uint32_t{in[1]} << 8 | in[2];
+        out[i] = expand[group >> 18];
+        out[i + 1] = expand[(group >> 12) & 0x3f];
+        out[i + 2] = expand[(group >> 6) & 0x3f];
+        out[i + 3] = expand[group & 0x3f];
+      }
+      break;
+    case 4:
+      for (; i + 2 <= n; i += 2) {
+        const uint8_t byte = *in++;
+        out[i] = expand[byte >> 4];
+        out[i + 1] = expand[byte & 0x0f];
+      }
+      break;
+    case 2:
+      for (; i + 4 <= n; i += 4) {
+        const uint8_t byte = *in++;
+        out[i] = expand[byte >> 6];
+        out[i + 1] = expand[(byte >> 4) & 3];
+        out[i + 2] = expand[(byte >> 2) & 3];
+        out[i + 3] = expand[byte & 3];
+      }
+      break;
+  }
+  uint32_t acc = 0;
+  int pending = 0;  // bits loaded into acc and not yet read
+  for (; i < n; ++i) {
+    if (pending < bits) {
+      acc = (acc << 8) | *in++;
+      pending += 8;
+    }
+    pending -= bits;
+    out[i] = expand[(acc >> pending) & ((1u << bits) - 1)];
+  }
+  return in;
+}
 
-size_t BitsToBytes(size_t bits) { return (bits + 7) / 8; }
+// Averages each chroma block of a plane over the pixels inside the image, rounding half
+// up, into ChromaWidth(w) x ChromaHeight(h) samples. A block holds 1, 2 or 4 pixels, so
+// the division is a shift.
+void AverageChroma(std::span<const uint8_t> plane, int32_t w, int32_t h, int32_t sub_y,
+                   uint8_t* out) {
+  for (int32_t y0 = 0; y0 < h; y0 += sub_y) {
+    const uint8_t* r0 = plane.data() + static_cast<size_t>(y0) * w;
+    int32_t x = 0;
+    if (sub_y == 2 && y0 + 1 < h) {
+      const uint8_t* r1 = r0 + w;
+      for (; x + 2 <= w; x += 2) {
+        *out++ = static_cast<uint8_t>((r0[x] + r0[x + 1] + r1[x] + r1[x + 1] + 2) >> 2);
+      }
+      if (x < w) {
+        *out++ = static_cast<uint8_t>((r0[x] + r1[x] + 1) >> 1);
+      }
+    } else {
+      for (; x + 2 <= w; x += 2) {
+        *out++ = static_cast<uint8_t>((r0[x] + r0[x + 1] + 1) >> 1);
+      }
+      if (x < w) {
+        *out++ = r0[x];
+      }
+    }
+  }
+}
 
-// Source taps and weights of one destination row or column of the bilinear scaler.
+// Source taps and weights of destination row or column d of the bilinear scaler.
 struct Tap {
   int32_t i0;
   int32_t i1;
@@ -244,16 +263,65 @@ struct Tap {
   double w1;  // f
 };
 
-std::vector<Tap> Taps(int32_t src, int32_t dst) {
-  std::vector<Tap> taps(static_cast<size_t>(dst));
-  const double ratio = static_cast<double>(src) / dst;
-  for (int32_t d = 0; d < dst; ++d) {
-    const double s = std::max(0.0, (d + 0.5) * ratio - 0.5);
-    const int32_t i0 = std::min(static_cast<int32_t>(s), src - 1);
-    const double f = s - i0;
-    taps[static_cast<size_t>(d)] = Tap{i0, std::min(i0 + 1, src - 1), 1 - f, f};
+Tap TapAt(int32_t d, double ratio, int32_t src) {
+  const double s = std::max(0.0, (d + 0.5) * ratio - 0.5);
+  const int32_t i0 = std::min(static_cast<int32_t>(s), src - 1);
+  const double f = s - i0;
+  return Tap{i0, std::min(i0 + 1, src - 1), 1 - f, f};
+}
+
+// The k for which a tap's weights are exactly (1 - k/4, k/4), or -1.
+int QuarterWeight(const Tap& t) {
+  for (int k = 0; k < 4; ++k) {
+    if (t.w1 == 0.25 * k && t.w0 == 1 - 0.25 * k) {
+      return k;
+    }
   }
-  return taps;
+  return -1;
+}
+
+// n samples lerped between rows a and b with a tap's weights: in integers when they are
+// quarters (k >= 0), where that is exact, and by the double formula otherwise.
+void LerpRow(const uint8_t* a, const uint8_t* b, int32_t n, const Tap& t, int k,
+             uint8_t* out) {
+  if (k >= 0) {
+    // Blocks of 16 samples into a local first: with a fixed count and no possible
+    // aliasing, the compiler vectorizes the block at -O2.
+    int32_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+      uint8_t block[16];
+      for (int32_t j = 0; j < 16; ++j) {
+        block[j] = QuarterLerp(a[i + j], b[i + j], k);
+      }
+      std::memcpy(out + i, block, sizeof(block));
+    }
+    for (; i < n; ++i) {
+      out[i] = QuarterLerp(a[i], b[i], k);
+    }
+  } else {
+    for (int32_t i = 0; i < n; ++i) {
+      out[i] = RoundToByte(a[i] * t.w0 + b[i] * t.w1);
+    }
+  }
+}
+
+// Converts n pixels of one row, each pair sharing a chroma sample: pixel i reads luma y[i]
+// and chroma u[c], v[c] with c = (i + odd) / 2, where odd says the row starts on the
+// second pixel of a chroma block.
+void ConvertRow(const YuvToRgbTables& tables, const uint8_t* y, const uint8_t* u,
+                const uint8_t* v, bool odd, int32_t n, Pixel* out) {
+  int32_t i = 0;
+  if (odd) {
+    out[i] = tables.Convert(y[i], *u++, *v++);
+    ++i;
+  }
+  for (; i + 2 <= n; i += 2, ++u, ++v) {
+    out[i] = tables.Convert(y[i], *u, *v);
+    out[i + 1] = tables.Convert(y[i + 1], *u, *v);
+  }
+  if (i < n) {
+    out[i] = tables.Convert(y[i], *u, *v);
+  }
 }
 
 }  // namespace
@@ -310,11 +378,9 @@ YuvImage YuvImage::FromPixels(std::span<const Pixel> rgb, int32_t w, int32_t h) 
 
 size_t CscsPayloadBytes(int32_t w, int32_t h, CscsDepth depth) {
   const DepthSpec spec = SpecFor(depth);
-  const int64_t cw = (w + spec.c_sub_x - 1) / spec.c_sub_x;
-  const int64_t ch = (h + spec.c_sub_y - 1) / spec.c_sub_y;
-  const size_t y_bytes = BitsToBytes(PlaneBits(static_cast<int64_t>(w) * h, spec.y_bits));
-  const size_t c_bytes = BitsToBytes(PlaneBits(cw * ch, spec.c_bits));
-  return y_bytes + 2 * c_bytes;
+  const size_t chroma = static_cast<size_t>(ChromaWidth(w)) * ChromaHeight(h, spec);
+  return PlaneBytes(static_cast<size_t>(w) * h, spec.y_bits) +
+         2 * PlaneBytes(chroma, spec.c_bits);
 }
 
 std::vector<uint8_t> PackCscsPayload(const YuvImage& image, CscsDepth depth) {
@@ -322,84 +388,108 @@ std::vector<uint8_t> PackCscsPayload(const YuvImage& image, CscsDepth depth) {
   const int32_t w = image.width();
   const int32_t h = image.height();
   std::vector<uint8_t> out(CscsPayloadBytes(w, h, depth));
-  BitPacker packer(out);
-  // Y plane: quantize by keeping top bits.
-  const int y_shift = 8 - spec.y_bits;
-  for (const uint8_t y : image.y_plane()) {
-    packer.Put(static_cast<uint32_t>(y) >> y_shift, spec.y_bits);
+  uint8_t* end = PackPlane(image.y_plane().data(), image.y_plane().size(), spec.y_bits,
+                           out.data());
+  const size_t chroma = static_cast<size_t>(ChromaWidth(w)) * ChromaHeight(h, spec);
+  const auto averages = std::make_unique_for_overwrite<uint8_t[]>(chroma);
+  for (const std::span<const uint8_t> plane : {image.u_plane(), image.v_plane()}) {
+    AverageChroma(plane, w, h, spec.c_sub_y, averages.get());
+    end = PackPlane(averages.get(), chroma, spec.c_bits, end);
   }
-  packer.AlignByte();
-  PackChroma(image.u_plane(), w, h, spec, &packer);
-  PackChroma(image.v_plane(), w, h, spec, &packer);
-  SLIM_CHECK(packer.size() == out.size());
+  SLIM_CHECK(end == out.data() + out.size());
   return out;
 }
 
-YuvImage UnpackCscsPayload(std::span<const uint8_t> payload, int32_t w, int32_t h,
-                           CscsDepth depth) {
+void DecodeCscsPayload(std::span<const uint8_t> payload, int32_t src_w, int32_t src_h,
+                       CscsDepth depth, const Rect& dst, Framebuffer* fb) {
+  SLIM_CHECK(src_w > 0 && src_h > 0 && !dst.empty());
+  SLIM_CHECK(payload.size() == CscsPayloadBytes(src_w, src_h, depth));
+  const Rect clip = Intersect(dst, fb->bounds());
+  if (clip.empty()) {
+    return;
+  }
   const DepthSpec spec = SpecFor(depth);
-  YuvImage image(w, h);
-  BitUnpacker unpacker(payload);
-  const std::array<uint8_t, 256> expand_y = ExpandTable(spec.y_bits);
-  for (uint8_t& y : image.mutable_y_plane()) {
-    y = expand_y[unpacker.Get(spec.y_bits)];
-  }
-  unpacker.AlignByte();
-  UnpackChroma(&unpacker, w, h, spec, image.mutable_u_plane());
-  UnpackChroma(&unpacker, w, h, spec, image.mutable_v_plane());
-  return image;
-}
+  const int32_t cw = ChromaWidth(src_w);
+  const size_t y_n = static_cast<size_t>(src_w) * src_h;
+  const size_t c_n = static_cast<size_t>(cw) * ChromaHeight(src_h, spec);
+  // The first visible column relative to dst, and the chroma columns the visible ones read.
+  const int32_t x_first = clip.x - dst.x;
+  const int32_t c_first = x_first / 2;
+  const int32_t nc = (x_first + clip.w - 1) / 2 - c_first + 1;
+  // Scratch, not zero-filled: the planes at their native resolution, then one
+  // destination row's lerped luma and chroma. Its size is bounded by the payload and the
+  // framebuffer, however large dst is.
+  const auto scratch = std::make_unique_for_overwrite<uint8_t[]>(
+      y_n + 2 * c_n + static_cast<size_t>(clip.w) + 2 * static_cast<size_t>(nc));
+  uint8_t* const ys = scratch.get();
+  uint8_t* const us = ys + y_n;
+  uint8_t* const vs = us + c_n;
+  uint8_t* const row_y = vs + c_n;
+  uint8_t* const row_u = row_y + clip.w;
+  uint8_t* const row_v = row_u + nc;
+  const uint8_t* in = payload.data();
+  in = UnpackPlane(in, y_n, spec.y_bits, ys);
+  in = UnpackPlane(in, c_n, spec.c_bits, us);
+  UnpackPlane(in, c_n, spec.c_bits, vs);
 
-std::vector<Pixel> YuvToRgbScaled(const YuvImage& image, int32_t dst_w, int32_t dst_h) {
-  SLIM_CHECK(dst_w > 0 && dst_h > 0);
-  std::vector<Pixel> out(static_cast<size_t>(dst_w) * dst_h);
-  const YuvToRgbTables& tables = Tables();
-  const int32_t sw = image.width();
-  const int32_t sh = image.height();
-  const uint8_t* ys = image.y_plane().data();
-  const uint8_t* us = image.u_plane().data();
-  const uint8_t* vs = image.v_plane().data();
-  Pixel* dst = out.data();
-  if (sw == dst_w && sh == dst_h) {
-    // Unscaled (MPEG): every tap has weights 1 and 0, so the lerp returns the source sample.
-    for (size_t i = 0; i < out.size(); ++i) {
-      dst[i] = tables.Convert(ys[i], us[i], vs[i]);
-    }
-    return out;
-  }
-  // The lerp of the definition, weights computed once per row and per column:
+  // Pixel (x, y) of dst is the lerp of the definition, with chroma sampled at its block:
   //   top = s(x0, y0) * (1 - fx) + s(x1, y0) * fx
   //   bot = s(x0, y1) * (1 - fx) + s(x1, y1) * fx
   //   out = lround(top * (1 - fy) + bot * fy)
-  const std::vector<Tap> rows = Taps(sh, dst_h);
-  if (sw == dst_w) {
-    // Vertical-only (NTSC fields): fx is 0 in every column, so top and bot are the samples.
-    for (const Tap& ty : rows) {
-      const size_t r0 = static_cast<size_t>(ty.i0) * sw;
-      const size_t r1 = static_cast<size_t>(ty.i1) * sw;
-      auto lerp = [&](const uint8_t* plane, int32_t x) {
-        return RoundToByte(plane[r0 + x] * ty.w0 + plane[r1 + x] * ty.w1);
-      };
-      for (int32_t x = 0; x < dst_w; ++x) {
-        *dst++ = tables.Convert(lerp(ys, x), lerp(us, x), lerp(vs, x));
+  const YuvToRgbTables& tables = Tables();
+  const double y_ratio = static_cast<double>(src_h) / dst.h;
+  if (src_w == dst.w) {
+    // Columns map one to one (fx is 0), so top and bot are samples and each row is one
+    // lerp of two source rows; chroma is lerped once per chroma sample.
+    for (int32_t y = clip.y; y < clip.bottom(); ++y) {
+      const Tap ty = TapAt(y - dst.y, y_ratio, src_h);
+      const int k = QuarterWeight(ty);
+      const size_t c_row0 = static_cast<size_t>(ty.i0 / spec.c_sub_y) * cw + c_first;
+      const size_t c_row1 = static_cast<size_t>(ty.i1 / spec.c_sub_y) * cw + c_first;
+      const uint8_t* y_row = ys + static_cast<size_t>(ty.i0) * src_w + x_first;
+      const uint8_t* u_row = us + c_row0;
+      const uint8_t* v_row = vs + c_row0;
+      if (k != 0) {
+        LerpRow(y_row, ys + static_cast<size_t>(ty.i1) * src_w + x_first, clip.w, ty, k,
+                row_y);
+        LerpRow(u_row, us + c_row1, nc, ty, k, row_u);
+        LerpRow(v_row, vs + c_row1, nc, ty, k, row_v);
+        y_row = row_y;
+        u_row = row_u;
+        v_row = row_v;
       }
+      ConvertRow(tables, y_row, u_row, v_row, x_first % 2 != 0, clip.w,
+                 fb->MutableRow(y, clip.x, clip.w).data());
     }
-    return out;
+    return;
   }
-  const std::vector<Tap> cols = Taps(sw, dst_w);
-  for (const Tap& ty : rows) {
-    const size_t r0 = static_cast<size_t>(ty.i0) * sw;
-    const size_t r1 = static_cast<size_t>(ty.i1) * sw;
+  const double x_ratio = static_cast<double>(src_w) / dst.w;
+  std::vector<Tap> cols;
+  cols.reserve(static_cast<size_t>(clip.w));
+  for (int32_t x = x_first; x < x_first + clip.w; ++x) {
+    cols.push_back(TapAt(x, x_ratio, src_w));
+  }
+  for (int32_t y = clip.y; y < clip.bottom(); ++y) {
+    const Tap ty = TapAt(y - dst.y, y_ratio, src_h);
+    const uint8_t* y_row0 = ys + static_cast<size_t>(ty.i0) * src_w;
+    const uint8_t* y_row1 = ys + static_cast<size_t>(ty.i1) * src_w;
+    const size_t c_row0 = static_cast<size_t>(ty.i0 / spec.c_sub_y) * cw;
+    const size_t c_row1 = static_cast<size_t>(ty.i1 / spec.c_sub_y) * cw;
+    auto lerp = [&ty](const uint8_t* r0, const uint8_t* r1, int32_t i0, int32_t i1,
+                      const Tap& tx) {
+      const double top = r0[i0] * tx.w0 + r0[i1] * tx.w1;
+      const double bot = r1[i0] * tx.w0 + r1[i1] * tx.w1;
+      return RoundToByte(top * ty.w0 + bot * ty.w1);
+    };
+    Pixel* out = fb->MutableRow(y, clip.x, clip.w).data();
     for (const Tap& tx : cols) {
-      auto lerp = [&](const uint8_t* plane) {
-        const double top = plane[r0 + tx.i0] * tx.w0 + plane[r0 + tx.i1] * tx.w1;
-        const double bot = plane[r1 + tx.i0] * tx.w0 + plane[r1 + tx.i1] * tx.w1;
-        return RoundToByte(top * ty.w0 + bot * ty.w1);
-      };
-      *dst++ = tables.Convert(lerp(ys), lerp(us), lerp(vs));
+      const int32_t c_i0 = tx.i0 / 2;
+      const int32_t c_i1 = tx.i1 / 2;
+      *out++ = tables.Convert(lerp(y_row0, y_row1, tx.i0, tx.i1, tx),
+                              lerp(us + c_row0, us + c_row1, c_i0, c_i1, tx),
+                              lerp(vs + c_row0, vs + c_row1, c_i0, c_i1, tx));
     }
   }
-  return out;
 }
 
 }  // namespace slim

@@ -89,21 +89,29 @@ class YuvImage {
 };
 
 // Packs a YuvImage into the CSCS wire payload for a depth. Deterministic layout: the whole
-// (possibly subsampled/quantized) Y plane, then U, then V, each byte-packed MSB-first.
+// (possibly quantized) Y plane, then the subsampled U plane, then V, each byte-packed
+// MSB-first and zero-padded to a whole byte.
 std::vector<uint8_t> PackCscsPayload(const YuvImage& image, CscsDepth depth);
 
 // Number of payload bytes PackCscsPayload produces for a w*h image at the given depth.
 size_t CscsPayloadBytes(int32_t w, int32_t h, CscsDepth depth);
 
-// Unpacks a CSCS payload back into a full-resolution YuvImage (chroma is replicated across
-// its subsampling block; quantized components are bit-replicated back to 8 bits).
-YuvImage UnpackCscsPayload(std::span<const uint8_t> payload, int32_t w, int32_t h,
-                           CscsDepth depth);
+// The console's CSCS decode: unpacks a src_w x src_h payload, scales it bilinearly to dst
+// and converts it to RGB straight into fb, clipped to fb's bounds as SetPixels clips. Every
+// written pixel equals the double reference definition bit for bit: quantized components
+// bit-replicated back to 8 bits, chroma replicated across its subsampling block, a
+// bilinear lerp with lround per component, then YuvToRgb. Work and scratch memory are
+// bounded by the payload and the visible part of dst. The payload must be exactly
+// CscsPayloadBytes(src_w, src_h, depth) bytes (checked); ValidateCommand ensures the rest.
+void DecodeCscsPayload(std::span<const uint8_t> payload, int32_t src_w, int32_t src_h,
+                       CscsDepth depth, const Rect& dst, Framebuffer* fb);
 
-// Converts the YUV image to RGB pixels, bilinearly scaled to dst_w x dst_h.
-// When the sizes match this is a straight conversion. Every output pixel equals the double
-// reference formula (bilinear lerp with lround per component, then YuvToRgb) bit for bit.
-std::vector<Pixel> YuvToRgbScaled(const YuvImage& image, int32_t dst_w, int32_t dst_h);
+// The scaler's lerp a * (1 - k/4) + b * k/4, rounded, for the quarter weights k in 0..3
+// that 2x scaling produces. Those weights make the double lerp exact, so rounding it half
+// up is rounding (4 - k) * a + k * b over 4 in integers.
+constexpr uint8_t QuarterLerp(uint8_t a, uint8_t b, int k) {
+  return static_cast<uint8_t>(((4 - k) * a + k * b + 2) >> 2);
+}
 
 }  // namespace slim
 

@@ -200,7 +200,7 @@ void Console::ProcessRelease(const Message& msg, NodeId from) {
   });
 }
 
-void Console::ProcessDisplayCommand(const Message& msg, const DisplayCommand& cmd) {
+void Console::ProcessDisplayCommand(const Message& msg, DisplayCommand cmd) {
   LatencyAudit* const audit = LatencyAudit::Global();
   if (!ValidateCommand(cmd)) {
     ++commands_rejected_;
@@ -269,7 +269,7 @@ void Console::ProcessDisplayCommand(const Message& msg, const DisplayCommand& cm
                       {"seq", JsonValue(static_cast<int64_t>(record.seq))}});
   }
 
-  sim_->ScheduleAt(record.completion, [this, cmd, record]() {
+  sim_->ScheduleAt(record.completion, [this, cmd = std::move(cmd), record]() {
     queued_bytes_ -= static_cast<int64_t>(record.wire_bytes);
     if (!ApplyCommand(cmd, &fb_)) {
       // ValidateCommand is framebuffer-agnostic, so a COPY whose source rect exits the

@@ -99,7 +99,7 @@ class Console {
 
  private:
   void OnMessage(const Message& msg, NodeId from);
-  void ProcessDisplayCommand(const Message& msg, const DisplayCommand& cmd);
+  void ProcessDisplayCommand(const Message& msg, DisplayCommand cmd);
   void ProcessRelease(const Message& msg, NodeId from);
   void HandleBandwidthRequest(const Message& msg, NodeId from, const BandwidthRequestMsg& req);
   // Sends a grant to every flow in `grants` whose value differs from the last one sent to

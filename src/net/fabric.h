@@ -72,7 +72,6 @@ class Link {
   void Send(Datagram dgram);
 
   const LinkStats& stats() const { return stats_; }
-  const LinkOptions& options() const { return options_; }
 
   // Bytes currently queued behind the head of line (for tests and saturation checks).
   int64_t queued_bytes() const { return queued_bytes_; }

@@ -2,12 +2,14 @@
 // damaged framebuffer and applying the commands to a stale copy reproduces it exactly.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <limits>
 
 #include "src/apps/content.h"
 #include "src/codec/decoder.h"
 #include "src/codec/encoder.h"
+#include "src/color/yuv.h"
 #include "src/util/rng.h"
 
 namespace slim {
@@ -48,6 +50,29 @@ TEST(DecoderTest, RejectsCscsDownscaleAndBadPayload) {
   EXPECT_TRUE(ValidateCommand(DisplayCommand(cmd)));
   cmd.payload.pop_back();
   EXPECT_FALSE(ValidateCommand(DisplayCommand(cmd)));
+}
+
+// ValidateCommand bounds a CSCS command's payload, not its dst: the 3-byte payload of a
+// 1x1 source passes with any destination size. Applying it must cost only the framebuffer
+// it lands in, not dst's 256 MB of pixels.
+TEST(DecoderTest, CscsApplyIsBoundedByTheFramebuffer) {
+  CscsCommand cmd;
+  cmd.src_w = 1;
+  cmd.src_h = 1;
+  cmd.dst = Rect{0, 0, 8192, 8192};
+  cmd.depth = CscsDepth::k16;
+  cmd.payload = {200, 90, 170};  // Y, U, V
+  Framebuffer fb(64, 64);
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  ASSERT_TRUE(ApplyCommand(DisplayCommand(cmd), &fb));
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32 * 1024) << "KiB";
+  const Pixel expected = YuvToRgb(Yuv{200, 90, 170});
+  for (const Pixel p : fb.data()) {
+    ASSERT_EQ(p, expected);
+  }
 }
 
 TEST(DecoderTest, ApplyRejectsMalformedWithoutTouchingFramebuffer) {

@@ -91,7 +91,7 @@ TEST(CscsTest, SixteenBitRoundTripPreservesLumaExactly) {
     }
   }
   const auto payload = PackCscsPayload(image, CscsDepth::k16);
-  const YuvImage back = UnpackCscsPayload(payload, 32, 16, CscsDepth::k16);
+  const YuvImage back = reference::UnpackCscsPayload(payload, 32, 16, CscsDepth::k16);
   for (int32_t y = 0; y < 16; ++y) {
     for (int32_t x = 0; x < 32; ++x) {
       EXPECT_EQ(back.At(x, y).y, image.At(x, y).y);
@@ -110,7 +110,7 @@ TEST(CscsTest, UniformImageSurvivesEveryDepth) {
   for (const CscsDepth depth : {CscsDepth::k16, CscsDepth::k12, CscsDepth::k8, CscsDepth::k6,
                                 CscsDepth::k5}) {
     const YuvImage back =
-        UnpackCscsPayload(PackCscsPayload(image, depth), 24, 24, depth);
+        reference::UnpackCscsPayload(PackCscsPayload(image, depth), 24, 24, depth);
     const int tolerance = BitsPerPixel(depth) >= 12 ? 1 : 40;  // quantization widens error
     for (int32_t y = 0; y < 24; ++y) {
       for (int32_t x = 0; x < 24; ++x) {
@@ -137,7 +137,8 @@ TEST(CscsTest, RoundTripErrorShrinksWithDepth) {
   double previous_error = 1e18;
   for (const CscsDepth depth : {CscsDepth::k5, CscsDepth::k6, CscsDepth::k8, CscsDepth::k12,
                                 CscsDepth::k16}) {
-    const YuvImage back = UnpackCscsPayload(PackCscsPayload(image, depth), 64, 64, depth);
+    const YuvImage back =
+        reference::UnpackCscsPayload(PackCscsPayload(image, depth), 64, 64, depth);
     double err = 0;
     for (int32_t y = 0; y < 64; ++y) {
       for (int32_t x = 0; x < 64; ++x) {
@@ -161,7 +162,7 @@ TEST(ScaleTest, IdentityScaleMatchesDirectConversion) {
                           static_cast<uint8_t>(rng.NextBelow(256))});
     }
   }
-  const auto out = YuvToRgbScaled(image, 20, 12);
+  const auto out = reference::YuvToRgbScaled(image, 20, 12);
   for (int32_t y = 0; y < 12; ++y) {
     for (int32_t x = 0; x < 20; ++x) {
       EXPECT_EQ(out[static_cast<size_t>(y) * 20 + x], YuvToRgb(image.At(x, y)));
@@ -177,7 +178,8 @@ TEST(ScaleTest, UpscaleOfUniformImageStaysUniform) {
       image.Set(x, y, value);
     }
   }
-  const auto out = YuvToRgbScaled(image, 32, 24);  // the paper's 2x video upscale and more
+  // The paper's 2x video upscale and more.
+  const auto out = reference::YuvToRgbScaled(image, 32, 24);
   const Pixel expected = YuvToRgb(value);
   for (const Pixel p : out) {
     EXPECT_LE(ChannelError(p, expected), 1);
@@ -188,13 +190,29 @@ TEST(ScaleTest, UpscaleInterpolatesBetweenExtremes) {
   YuvImage image(2, 1);
   image.Set(0, 0, Yuv{0, 128, 128});
   image.Set(1, 0, Yuv{255, 128, 128});
-  const auto out = YuvToRgbScaled(image, 8, 1);
+  const auto out = reference::YuvToRgbScaled(image, 8, 1);
   // Values must be monotone left to right.
   for (size_t i = 1; i < out.size(); ++i) {
     EXPECT_GE(PixelR(out[i]), PixelR(out[i - 1]));
   }
   EXPECT_LT(PixelR(out[0]), 64);
   EXPECT_GT(PixelR(out[7]), 192);
+}
+
+// The decode's lerp for the quarter weights a 2x scale produces equals the double formula
+// for every pair of 8-bit samples. A tap's fraction is below 1, so k runs 0..3.
+TEST(ScaleTest, QuarterLerpMatchesDoubleFormulaExhaustively) {
+  for (int k = 0; k < 4; ++k) {
+    const double w1 = 0.25 * k;
+    const double w0 = 1 - w1;
+    for (int a = 0; a < 256; ++a) {
+      for (int b = 0; b < 256; ++b) {
+        const auto expected = reference::ClampByte(static_cast<int>(std::lround(a * w0 + b * w1)));
+        ASSERT_EQ(QuarterLerp(static_cast<uint8_t>(a), static_cast<uint8_t>(b), k), expected)
+            << a << "," << b << " k " << k;
+      }
+    }
+  }
 }
 
 constexpr CscsDepth kAllDepths[] = {CscsDepth::k16, CscsDepth::k12, CscsDepth::k8,
@@ -210,9 +228,30 @@ YuvImage RandomImage(Rng* rng, int32_t w, int32_t h) {
   return image;
 }
 
-// Pack -> unpack -> scale, each stage against the per-bit / per-pixel reference: payload
-// bytes, unpacked planes and scaled pixels must all be identical, for every depth, odd
-// sizes (partial chroma blocks, payloads ending mid-byte) and every scaler path.
+// Decodes a payload to a dw x dh dst in a framebuffer 4 pixels larger each way: inside it,
+// across each edge, and at negative coordinates. The result must be exactly the reference
+// pixels placed by SetPixels: the visible part of dst replaced, every other pixel untouched.
+void ExpectDecodeMatches(std::span<const uint8_t> payload, int32_t w, int32_t h,
+                         CscsDepth depth, int32_t dw, int32_t dh,
+                         std::span<const Pixel> reference_pixels) {
+  const int32_t fw = dw + 4;
+  const int32_t fh = dh + 4;
+  const Pixel untouched = MakePixel(1, 2, 3);
+  for (const auto& [x, y] : {std::pair{2, 2}, std::pair{-3, 2}, std::pair{2, -3},
+                             std::pair{7, 2}, std::pair{2, 7}, std::pair{-5, -6}}) {
+    const Rect dst{x, y, dw, dh};
+    Framebuffer expected(fw, fh, untouched);
+    expected.SetPixels(dst, reference_pixels);
+    Framebuffer fb(fw, fh, untouched);
+    DecodeCscsPayload(payload, w, h, depth, dst, &fb);
+    ASSERT_TRUE(std::ranges::equal(fb.data(), expected.data()))
+        << "to " << dst.ToString() << " in " << fw << "x" << fh;
+  }
+}
+
+// Pack, then decode into a framebuffer, against the per-bit / per-pixel reference: payload
+// bytes and decoded pixels must be identical, for every depth, odd sizes (partial chroma
+// blocks, payloads ending mid-byte), every scaler path and dst clipped on every side.
 TEST(CscsTest, PipelineMatchesReferenceBitForBit) {
   Rng rng(23);
   for (const int32_t w : {1, 2, 3, 5, 8, 17, 33, 70}) {
@@ -222,37 +261,41 @@ TEST(CscsTest, PipelineMatchesReferenceBitForBit) {
         SCOPED_TRACE(testing::Message() << w << "x" << h << " depth " << BitsPerPixel(depth));
         const std::vector<uint8_t> payload = PackCscsPayload(image, depth);
         ASSERT_EQ(payload, reference::PackCscsPayload(image, depth));
-        const YuvImage back = UnpackCscsPayload(payload, w, h, depth);
-        ASSERT_TRUE(
-            reference::SamePlanes(back, reference::UnpackCscsPayload(payload, w, h, depth)));
-        // Unscaled, 2x, vertical-only 2x (NTSC fields), horizontal-only and non-dyadic.
+        const YuvImage back = reference::UnpackCscsPayload(payload, w, h, depth);
+        // Unscaled, 2x, vertical-only 2x (NTSC fields), horizontal-only, 4x horizontal,
+        // 4x by 3x and non-dyadic.
         for (const auto& [dw, dh] : {std::pair{w, h}, std::pair{2 * w, 2 * h},
                                     std::pair{w, 2 * h}, std::pair{2 * w, h},
+                                    std::pair{4 * w, h}, std::pair{4 * w, 3 * h},
                                     std::pair{w * 5 / 3 + 1, h * 7 / 4 + 1}}) {
-          ASSERT_EQ(YuvToRgbScaled(back, dw, dh), reference::YuvToRgbScaled(back, dw, dh))
-              << "to " << dw << "x" << dh;
+          ExpectDecodeMatches(payload, w, h, depth, dw, dh,
+                              reference::YuvToRgbScaled(back, dw, dh));
         }
       }
     }
   }
 }
 
-// Bytes from outside (nonzero padding bits, short payloads) unpack as the reference reads
-// them: padding is skipped and bits past the end read as zero.
+// Bytes from outside (nonzero padding bits) decode as the reference reads them: the
+// padding is skipped. A payload of any other size than the depth's is a checked
+// precondition; ValidateCommand rejects it first (DecoderTest.RejectsCscsDownscaleAndBadPayload).
 TEST(CscsTest, UnpackOfArbitraryBytesMatchesReference) {
   Rng rng(29);
   for (const CscsDepth depth : kAllDepths) {
     for (const auto& [w, h] : {std::pair{1, 1}, std::pair{7, 5}, std::pair{33, 7}}) {
+      SCOPED_TRACE(testing::Message() << w << "x" << h << " depth " << BitsPerPixel(depth));
       std::vector<uint8_t> bytes(CscsPayloadBytes(w, h, depth));
       for (uint8_t& b : bytes) {
         b = static_cast<uint8_t>(rng.NextBelow(256));
       }
-      for (const size_t keep : {bytes.size(), bytes.size() / 2, size_t{0}}) {
-        const std::span<const uint8_t> payload(bytes.data(), keep);
-        EXPECT_TRUE(reference::SamePlanes(UnpackCscsPayload(payload, w, h, depth),
-                                          reference::UnpackCscsPayload(payload, w, h, depth)))
-            << w << "x" << h << " depth " << BitsPerPixel(depth) << " bytes " << keep;
+      const YuvImage back = reference::UnpackCscsPayload(bytes, w, h, depth);
+      for (const auto& [dw, dh] : {std::pair{w, h}, std::pair{w, 2 * h}}) {
+        ExpectDecodeMatches(bytes, w, h, depth, dw, dh, reference::YuvToRgbScaled(back, dw, dh));
       }
+      bytes.pop_back();
+      Framebuffer fb(w, h);
+      EXPECT_DEATH_IF_SUPPORTED(DecodeCscsPayload(bytes, w, h, depth, fb.bounds(), &fb),
+                                "check failed");
     }
   }
 }

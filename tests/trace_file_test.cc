@@ -54,7 +54,8 @@ TEST(TraceFileTest, RejectsCorruption) {
   EXPECT_FALSE(ParseLog(bad).has_value());
   // Truncated.
   auto cut = bytes;
-  cut.resize(cut.size() - 3);
+  ASSERT_GT(cut.size(), 3u);
+  cut.erase(cut.end() - 3, cut.end());
   EXPECT_FALSE(ParseLog(cut).has_value());
   // Trailing garbage.
   auto extra = bytes;
