@@ -10,8 +10,8 @@
 //               the encoder only sees the residual.
 // Both streams are applied to replica framebuffers and CHECKed for bit-exact convergence,
 // so the speedup numbers are for equivalent, correct output. A second section times the
-// hash-indexed scroll detector on the same frames (its result is CHECKed against the
-// known shift).
+// hash-indexed scroll detector on one of those scroll steps and on two inputs with no
+// shift to find (each result is CHECKed against the known dy).
 //
 // Knobs: SLIM_DP_FRAMES (timed frames, default 40), SLIM_DP_WIDTH/HEIGHT (default
 // 1280x1024), SLIM_DP_REPS (detector timing reps, default 25). Expect the refined
@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -170,13 +169,17 @@ int main() {
   report.Metric("refined.wire_bytes", static_cast<double>(refined.wire_bytes), "bytes");
   report.Metric("refined.speedup", speedup, "x");
 
-  // Scroll detector micro-bench, best of `reps`, on two inputs:
-  //   clean    — one true scroll step;
-  //   periodic — striped content whose rows repeat every 8 rows plus one noise pixel
-  //              mid-frame, so many shifts look plausible row by row but none holds.
-  // The detector is CHECKed to return the expected dy on both inputs.
-  const auto bench_pair = [&](const char* label, const Framebuffer& b, const Framebuffer& a,
-                              int32_t expect_dy) {
+  // Scroll detector micro-bench, best of `reps`, on three inputs:
+  //   clean        — one true scroll step;
+  //   periodic     — striped content whose rows repeat every 8 rows plus one noise pixel
+  //                  mid-frame, so many shifts look plausible row by row but none holds;
+  //   blank_margin — text lines between blank rows, redrawn with other text: the block's
+  //                  first and last rows are blank and match a source row for almost every
+  //                  shift, so only an anchor row inside the text rejects them.
+  // The detector is CHECKed to return the expected dy on every input. blank_margin's time
+  // is printed but not reported, so the report keeps the metrics its baseline holds.
+  const auto time_detector = [&](const char* label, const Framebuffer& b,
+                                 const Framebuffer& a, int32_t expect_dy) {
     double hash_ms = 0;
     int32_t hash_dy = 0;
     for (int rep = 0; rep <= reps; ++rep) {
@@ -188,15 +191,16 @@ int main() {
       }
     }
     SLIM_CHECK(hash_dy == expect_dy);
-    std::printf("  %-8s  hash %8.3f ms   dy %d\n", label, hash_ms, hash_dy);
-    report.Metric(std::string("detector.") + label + ".hash_best_ms", hash_ms, "ms");
+    std::printf("  %-12s  hash %8.3f ms   dy %d\n", label, hash_ms, hash_dy);
+    return hash_ms;
   };
 
   std::printf("Scroll detector (max_shift 64), best of %d:\n", reps);
   ScrollScreen screen(width, height);
   const Framebuffer clean_before = screen.fb();
   screen.Step();
-  bench_pair("clean", clean_before, screen.fb(), -kLine);
+  report.Metric("detector.clean.hash_best_ms",
+                time_detector("clean", clean_before, screen.fb(), -kLine), "ms");
 
   Framebuffer striped(width, height);
   for (int32_t y = 0; y < height; ++y) {
@@ -205,7 +209,29 @@ int main() {
   }
   Framebuffer noisy = striped;
   noisy.PutPixel(width / 2 + 77, height / 2 + 1, kWhite);
-  bench_pair("periodic", striped, noisy, 0);
+  report.Metric("detector.periodic.hash_best_ms",
+                time_detector("periodic", striped, noisy, 0), "ms");
+
+  constexpr int32_t kMargin = 3 * kLine;  // blank rows above the first line, below the last
+  if (height >= 2 * kMargin + kLine && width >= 2 * kMargin + 8) {  // room for a line
+    Rng text_rng(99);
+    const auto text_page = [&] {
+      Framebuffer page(width, height, kWhite);
+      for (int32_t y0 = kMargin; y0 + kLine + kMargin <= height; y0 += kLine + kLine / 4) {
+        const Pixel fg = static_cast<Pixel>(text_rng.NextU64() & 0xffffff);
+        const int32_t phase = static_cast<int32_t>(text_rng.NextBelow(11));
+        for (int32_t y = y0; y < y0 + kLine; ++y) {
+          for (int32_t x = kMargin; x < width - kMargin; ++x) {
+            page.PutPixel(x, y, (((x * 7 + y * 13 + phase) % 11) < 4) ? fg : kWhite);
+          }
+        }
+      }
+      return page;
+    };
+    const Framebuffer page_before = text_page();
+    const Framebuffer page_after = text_page();
+    time_detector("blank_margin", page_before, page_after, 0);
+  }
 
   return report.Write() ? 0 : 1;
 }

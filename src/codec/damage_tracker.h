@@ -65,6 +65,10 @@ class DamageTracker {
   // FILL/COPY/CSCS commands, which bypass the encoder).
   void SyncRect(const Framebuffer& fb, const Rect& rect);
 
+  // Fills `rect` (clipped to bounds) of the shadow with `color`: the mirror of a direct
+  // FILL, equal to SyncRect after fb's own fill, but written instead of copied.
+  void SyncFill(const Rect& rect, Pixel color) { shadow_.Fill(rect, color); }
+
   // Forgets what the remote end displays: the next full-frame Refine passes everything
   // through. Used on console attach (a fresh console's soft state is unknown) and for
   // loss-recovery resyncs (ServerSession::ForceRepaintAll), where trusting the shadow

@@ -65,7 +65,15 @@ bool ApplyCommand(const DisplayCommand& cmd, Framebuffer* fb) {
       [fb](const auto& c) {
         using T = std::decay_t<decltype(c)>;
         if constexpr (std::is_same_v<T, SetCommand>) {
-          fb->SetPixels(c.dst, UnpackRgb(c.rgb));
+          // Rows unpack straight into the framebuffer, clipped to it the way SetPixels
+          // clips: each pixel inside takes the payload pixel at its offset within dst.
+          const Rect clipped = Intersect(c.dst, fb->bounds());
+          for (int32_t y = clipped.y; y < clipped.bottom(); ++y) {
+            const int64_t first =
+                (int64_t{y} - c.dst.y) * c.dst.w + (int64_t{clipped.x} - c.dst.x);
+            UnpackSetRow(&c.rgb[static_cast<size_t>(first) * 3],
+                         fb->MutableRow(y, clipped.x, clipped.w));
+          }
         } else if constexpr (std::is_same_v<T, BitmapCommand>) {
           fb->ExpandBitmap(c.dst, c.bits, c.fg, c.bg);
         } else if constexpr (std::is_same_v<T, FillCommand>) {

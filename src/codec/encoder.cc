@@ -203,10 +203,13 @@ void Encoder::EmitSet(const Framebuffer& fb, const Rect& rect,
         std::max<int32_t>(1, static_cast<int32_t>(options_.max_set_pixels / w));
     for (int32_t y = rect.y; y < rect.bottom(); y += max_rows) {
       const int32_t h = std::min(max_rows, rect.bottom() - y);
+      // EncodeRect clipped the rect to fb, so each row packs straight from fb's memory.
       const Rect part{x, y, w, h};
-      std::vector<Pixel> pixels;
-      fb.ReadPixels(part, &pixels);
-      out->emplace_back(std::in_place_type<SetCommand>, part, PackRgb(pixels));
+      std::vector<uint8_t> rgb(static_cast<size_t>(part.area()) * 3);
+      for (int32_t row = 0; row < h; ++row) {
+        PackSetRow(fb.Row(y + row, x, w), &rgb[static_cast<size_t>(row) * w * 3]);
+      }
+      out->emplace_back(std::in_place_type<SetCommand>, part, std::move(rgb));
     }
   }
 }
@@ -254,6 +257,47 @@ int32_t DetectVerticalScroll(const Framebuffer& before, const Framebuffer& after
     return 0;
   }
 
+  // Exact anchor filter. The confirmation below accepts positive shifts (content moved
+  // down) up to max_pos and negative ones up to max_neg. Every positive shift's overlap
+  // holds the rows [r.y + max_pos, bottom), and every negative shift's the rows
+  // [r.y, bottom - max_neg), so a shift can only be confirmed if one anchor row from that
+  // common part equals its source row. The anchor is the last (first) such row that is
+  // not one color across the block: text blocks start and end on blank margin rows, which
+  // match some source row for almost every shift. When no shift passes, none can be
+  // confirmed: skip the hashing.
+  const int32_t probes_y = std::min<int32_t>(16, r.h);
+  const int32_t last_grid_row =
+      static_cast<int32_t>(static_cast<int64_t>(probes_y - 1) * r.h / probes_y);
+  const int32_t max_pos = std::min({max_shift, last_grid_row, r.h - 1});
+  const int32_t max_neg = std::min(max_shift, r.h - 1);
+  const auto uniform = [&](int32_t y) {
+    const std::span<const Pixel> row = after.Row(y, r.x, r.w);
+    return std::all_of(row.begin() + 1, row.end(), [&](Pixel p) { return p == row[0]; });
+  };
+  int32_t pos_anchor = r.bottom() - 1;
+  for (int32_t y = r.bottom() - 1; y >= r.y + max_pos; --y) {
+    if (!uniform(y)) {
+      pos_anchor = y;
+      break;
+    }
+  }
+  int32_t neg_anchor = r.y;
+  for (int32_t y = r.y; y < r.bottom() - max_neg; ++y) {
+    if (!uniform(y)) {
+      neg_anchor = y;
+      break;
+    }
+  }
+  bool any_survivor = false;
+  for (int32_t m = 1; m <= std::max(max_pos, max_neg) && !any_survivor; ++m) {
+    any_survivor =
+        (m <= max_pos && RowSpansEqual(after, pos_anchor, before, pos_anchor - m, r.x, r.w)) ||
+        (m <= max_neg && RowSpansEqual(after, neg_anchor, before, neg_anchor + m, r.x, r.w));
+  }
+  if (!any_survivor) {
+    return 0;
+  }
+
   // Hash every row of the rect once, then index the `before` hashes so each `after` row
   // proposes its plausible shifts in one lookup. A dy is a candidate only when every row
   // of its shifted overlap hash-matches (votes == overlap), which subsumes the old sparse
@@ -295,9 +339,6 @@ int32_t DetectVerticalScroll(const Framebuffer& before, const Framebuffer& after
   // two detectors return identical results on every input. The probe grid's reach is also
   // preserved: a downward shift past the last grid row left the probe pass with zero
   // evidence, so the old detector never proposed it and this one must not either.
-  const int32_t probes_y = std::min<int32_t>(16, r.h);
-  const int32_t last_grid_row =
-      static_cast<int32_t>(static_cast<int64_t>(probes_y - 1) * r.h / probes_y);
   for (int32_t magnitude = 1; magnitude <= max_shift; ++magnitude) {
     for (const int32_t dy : {-magnitude, magnitude}) {
       const int32_t overlap = r.h - magnitude;

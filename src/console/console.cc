@@ -1,6 +1,7 @@
 #include "src/console/console.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/codec/decoder.h"
 #include "src/console/cost_model.h"
@@ -26,7 +27,8 @@ Console::Console(Simulator* sim, Fabric* fabric, ConsoleOptions options)
       allocator_(options.allocatable_bps) {
   SLIM_CHECK(sim != nullptr && fabric != nullptr);
   endpoint_ = std::make_unique<SlimEndpoint>(fabric, fabric->AddNode());
-  endpoint_->set_handler([this](const Message& msg, NodeId from) { OnMessage(msg, from); });
+  endpoint_->set_handler(
+      [this](Message&& msg, NodeId from) { OnMessage(std::move(msg), from); });
 }
 
 void Console::SendKey(NodeId server, uint32_t session, uint32_t keycode, bool pressed) {
@@ -82,9 +84,9 @@ void Console::RemoveCard(NodeId server, uint64_t card_id) {
   endpoint_->Send(server, 0, SessionDetachMsg{card_id});
 }
 
-void Console::OnMessage(const Message& msg, NodeId from) {
+void Console::OnMessage(Message&& msg, NodeId from) {
   std::visit(
-      [&](const auto& body) {
+      [&](auto& body) {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, SetCommand> || std::is_same_v<T, BitmapCommand> ||
                       std::is_same_v<T, FillCommand> || std::is_same_v<T, CopyCommand> ||
@@ -103,7 +105,8 @@ void Console::OnMessage(const Message& msg, NodeId from) {
             uint64_t& high = last_display_seq_[from];
             high = std::max(high, msg.seq);
           }
-          ProcessDisplayCommand(msg, DisplayCommand(body));
+          // The message is ours, so the command's payload moves instead of being copied.
+          ProcessDisplayCommand(msg.seq, DisplayCommand(std::move(body)));
         } else if constexpr (std::is_same_v<T, SessionReleaseMsg>) {
           ProcessRelease(msg, from);
         } else if constexpr (std::is_same_v<T, PingMsg>) {
@@ -200,12 +203,12 @@ void Console::ProcessRelease(const Message& msg, NodeId from) {
   });
 }
 
-void Console::ProcessDisplayCommand(const Message& msg, DisplayCommand cmd) {
+void Console::ProcessDisplayCommand(uint64_t seq, DisplayCommand cmd) {
   LatencyAudit* const audit = LatencyAudit::Global();
   if (!ValidateCommand(cmd)) {
     ++commands_rejected_;
     if (audit != nullptr) {
-      audit->NoteConsoleDrop(endpoint_->node(), msg.seq);
+      audit->NoteConsoleDrop(endpoint_->node(), seq);
     }
     return;
   }
@@ -213,7 +216,7 @@ void Console::ProcessDisplayCommand(const Message& msg, DisplayCommand cmd) {
   if (queued_bytes_ + static_cast<int64_t>(wire_bytes) > kCommandMemoryBytes) {
     ++commands_dropped_;
     if (audit != nullptr) {
-      audit->NoteConsoleDrop(endpoint_->node(), msg.seq);
+      audit->NoteConsoleDrop(endpoint_->node(), seq);
     }
     return;
   }
@@ -245,7 +248,7 @@ void Console::ProcessDisplayCommand(const Message& msg, DisplayCommand cmd) {
   record.type = TypeOf(cmd);
   record.pixels = AffectedPixels(cmd);
   record.wire_bytes = wire_bytes;
-  record.seq = msg.seq;
+  record.seq = seq;
   busy_until_ = record.completion;
   busy_time_ += cost;
   if (audit != nullptr) {

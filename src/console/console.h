@@ -98,8 +98,9 @@ class Console {
   void set_apply_callback(ApplyCallback cb) { apply_callback_ = std::move(cb); }
 
  private:
-  void OnMessage(const Message& msg, NodeId from);
-  void ProcessDisplayCommand(const Message& msg, DisplayCommand cmd);
+  void OnMessage(Message&& msg, NodeId from);
+  // `seq` is the command's message sequence number.
+  void ProcessDisplayCommand(uint64_t seq, DisplayCommand cmd);
   void ProcessRelease(const Message& msg, NodeId from);
   void HandleBandwidthRequest(const Message& msg, NodeId from, const BandwidthRequestMsg& req);
   // Sends a grant to every flow in `grants` whose value differs from the last one sent to

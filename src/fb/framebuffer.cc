@@ -1,11 +1,76 @@
 #include "src/fb/framebuffer.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "src/util/check.h"
 
 namespace slim {
+
+namespace {
+
+// Writes n copies of color. Four pixels go through a local block: with a fixed count and
+// no possible aliasing, GCC at -O2 broadcasts the color into a register once and stores
+// 16 bytes per iteration (std::fill compiles to one 4-byte store per pixel there).
+void FillSpan(Pixel* out, size_t n, Pixel color) {
+  Pixel block[4];
+  std::fill(std::begin(block), std::end(block), color);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    std::memcpy(out + i, block, sizeof(block));
+  }
+  for (; i < n; ++i) {
+    out[i] = color;
+  }
+}
+
+// kNibbleMask[v][i] is all ones iff bit (3 - i) of the nibble v is set, so a bitmap byte
+// selects its 8 pixels' masks with two lookups.
+using NibbleMask = std::array<uint32_t, 4>;
+constexpr std::array<NibbleMask, 16> MakeNibbleMasks() {
+  std::array<NibbleMask, 16> masks{};
+  for (uint32_t v = 0; v < 16; ++v) {
+    for (uint32_t i = 0; i < 4; ++i) {
+      masks[v][i] = ((v >> (3 - i)) & 1) != 0 ? ~0u : 0u;
+    }
+  }
+  return masks;
+}
+alignas(16) constexpr std::array<NibbleMask, 16> kNibbleMask = MakeNibbleMasks();
+
+// Expands n bits of an MSB-first bit row, starting at bit index `bit`, into n pixels: set
+// bits become fg, clear bits bg. Whole bytes expand eight pixels at a time as
+// bg ^ ((fg ^ bg) & mask), which GCC at -O2 compiles to two 16-byte and/xor/store
+// groups; only a head that starts mid-byte and a tail shorter than a byte go bit by bit,
+// so the padding bits past the row's last pixel are never read as pixels.
+void ExpandBitsSpan(const uint8_t* bits, size_t bit, size_t n, Pixel fg, Pixel bg,
+                    Pixel* out) {
+  const auto bit_at = [bits](size_t b) { return (bits[b >> 3] >> (7 - (b & 7))) & 1; };
+  size_t i = 0;
+  for (; i < n && ((bit + i) & 7) != 0; ++i) {
+    out[i] = bit_at(bit + i) != 0 ? fg : bg;
+  }
+  const Pixel diff = fg ^ bg;
+  for (; i + 8 <= n; i += 8) {
+    const uint8_t byte = bits[(bit + i) >> 3];
+    const NibbleMask& hi = kNibbleMask[byte >> 4];
+    const NibbleMask& lo = kNibbleMask[byte & 15];
+    Pixel block[8];
+    for (int j = 0; j < 4; ++j) {
+      block[j] = bg ^ (diff & hi[j]);
+    }
+    for (int j = 0; j < 4; ++j) {
+      block[4 + j] = bg ^ (diff & lo[j]);
+    }
+    std::memcpy(out + i, block, sizeof(block));
+  }
+  for (; i < n; ++i) {
+    out[i] = bit_at(bit + i) != 0 ? fg : bg;
+  }
+}
+
+}  // namespace
 
 Framebuffer::Framebuffer(int32_t width, int32_t height, Pixel fill)
     : width_(width), height_(height) {
@@ -30,8 +95,8 @@ void Framebuffer::PutPixel(int32_t x, int32_t y, Pixel p) {
 void Framebuffer::Fill(const Rect& r, Pixel color) {
   const Rect clipped = Intersect(r, bounds());
   for (int32_t y = clipped.y; y < clipped.bottom(); ++y) {
-    Pixel* row = &data_[static_cast<size_t>(y) * width_];
-    std::fill(row + clipped.x, row + clipped.right(), color);
+    FillSpan(&data_[static_cast<size_t>(y) * width_ + clipped.x],
+             static_cast<size_t>(clipped.w), color);
   }
 }
 
@@ -57,14 +122,9 @@ void Framebuffer::ExpandBitmap(const Rect& r, std::span<const uint8_t> bits, Pix
   SLIM_CHECK(bits.size() >= stride * static_cast<size_t>(r.h));
   const Rect clipped = Intersect(r, bounds());
   for (int32_t y = clipped.y; y < clipped.bottom(); ++y) {
-    const uint8_t* row_bits = &bits[static_cast<size_t>(y - r.y) * stride];
-    Pixel* dst_row = &data_[static_cast<size_t>(y) * width_];
-    for (int32_t x = clipped.x; x < clipped.right(); ++x) {
-      const int32_t bit_index = x - r.x;
-      const uint8_t byte = row_bits[bit_index >> 3];
-      const bool set = (byte >> (7 - (bit_index & 7))) & 1;
-      dst_row[x] = set ? fg : bg;
-    }
+    ExpandBitsSpan(&bits[static_cast<size_t>(y - r.y) * stride],
+                   static_cast<size_t>(clipped.x - r.x), static_cast<size_t>(clipped.w), fg,
+                   bg, &data_[static_cast<size_t>(y) * width_ + clipped.x]);
   }
 }
 

@@ -47,7 +47,8 @@ class Framebuffer {
   void SetPixels(const Rect& r, std::span<const Pixel> pixels);
 
   // Expands a row-padded 1-bit bitmap: set bits become fg, clear bits bg. Bit rows are padded
-  // to whole bytes (stride = (w+7)/8), bit 7 of each byte is the leftmost pixel.
+  // to whole bytes (stride = (w+7)/8), bit 7 of each byte is the leftmost pixel; the padding
+  // bits are never drawn. Clipped to bounds: a pixel outside is skipped with its bit.
   void ExpandBitmap(const Rect& r, std::span<const uint8_t> bits, Pixel fg, Pixel bg);
 
   // Copies the w*h block at (src_x, src_y) to dst, clipped to the framebuffer, as if the

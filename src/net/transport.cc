@@ -453,7 +453,7 @@ void SlimEndpoint::DeliverMessage(std::vector<uint8_t> bytes, NodeId from) {
   }
   ++stats_.messages_received;
   if (handler_) {
-    handler_(*msg, from);
+    handler_(std::move(*msg), from);
   }
 }
 

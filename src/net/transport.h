@@ -84,9 +84,10 @@ struct EndpointOptions {
 
 class SlimEndpoint {
  public:
-  // The handler receives fully reassembled, parsed messages. `from` is the fabric node that
+  // The handler receives fully reassembled, parsed messages, and owns each one: a handler
+  // may move a command's payload out instead of copying it. `from` is the fabric node that
   // sent them.
-  using MessageHandler = std::function<void(const Message&, NodeId from)>;
+  using MessageHandler = std::function<void(Message&&, NodeId from)>;
 
   SlimEndpoint(Fabric* fabric, NodeId self, EndpointOptions options = {});
 

@@ -1,7 +1,6 @@
 #include "src/protocol/commands.h"
 
 #include "src/protocol/messages.h"
-#include "src/util/check.h"
 
 namespace slim {
 
@@ -73,24 +72,20 @@ size_t WireSize(const DisplayCommand& cmd) { return kMessageHeaderBytes + Payloa
 
 int64_t UncompressedBytes(const DisplayCommand& cmd) { return AffectedPixels(cmd) * 3; }
 
-std::vector<Pixel> UnpackRgb(std::span<const uint8_t> rgb) {
-  SLIM_CHECK(rgb.size() % 3 == 0);
-  std::vector<Pixel> out(rgb.size() / 3);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = MakePixel(rgb[i * 3], rgb[i * 3 + 1], rgb[i * 3 + 2]);
+void PackSetRow(std::span<const Pixel> pixels, uint8_t* rgb) {
+  for (const Pixel p : pixels) {
+    rgb[0] = PixelR(p);
+    rgb[1] = PixelG(p);
+    rgb[2] = PixelB(p);
+    rgb += 3;
   }
-  return out;
 }
 
-std::vector<uint8_t> PackRgb(std::span<const Pixel> pixels) {
-  std::vector<uint8_t> out;
-  out.reserve(pixels.size() * 3);
-  for (const Pixel p : pixels) {
-    out.push_back(PixelR(p));
-    out.push_back(PixelG(p));
-    out.push_back(PixelB(p));
+void UnpackSetRow(const uint8_t* rgb, std::span<Pixel> pixels) {
+  for (Pixel& p : pixels) {
+    p = MakePixel(rgb[0], rgb[1], rgb[2]);
+    rgb += 3;
   }
-  return out;
 }
 
 }  // namespace slim

@@ -93,9 +93,11 @@ size_t WireSize(const DisplayCommand& cmd);
 // of Figure 8): 3 bytes per affected pixel.
 int64_t UncompressedBytes(const DisplayCommand& cmd);
 
-// Converts packed 3-byte RGB rows into Pixel words and back (SET payload helpers).
-std::vector<Pixel> UnpackRgb(std::span<const uint8_t> rgb);
-std::vector<uint8_t> PackRgb(std::span<const Pixel> pixels);
+// One row of a SET payload: packs pixels into 3 * pixels.size() bytes of R, G, B at rgb,
+// and unpacks 3 * pixels.size() such bytes into pixels. The encoder packs straight from
+// framebuffer rows and the console unpacks straight into them.
+void PackSetRow(std::span<const Pixel> pixels, uint8_t* rgb);
+void UnpackSetRow(const uint8_t* rgb, std::span<Pixel> pixels);
 
 }  // namespace slim
 

@@ -29,6 +29,29 @@ constexpr int32_t kScrollMaxShift = 64;
 constexpr SimDuration kPaceBacklogWatermark = 50 * kMillisecond;
 constexpr int64_t kCoalesceWatermark = 8;
 
+// ORs a glyph's rows into the rows of a run's string bitmap (`stride` bytes each), with
+// the glyph's leftmost pixel at bit index `bit`. The padding bits of each glyph row's last
+// byte are masked off, so they cannot leak into the next glyph. The bits land where dst
+// is still zero.
+void OrGlyphAt(const GlyphBitmap& glyph, size_t bit, std::span<uint8_t> dst, size_t stride) {
+  const size_t glyph_stride = (static_cast<size_t>(glyph.width) + 7) / 8;
+  const auto last_mask =
+      static_cast<uint8_t>(0xff << (glyph_stride * 8 - static_cast<size_t>(glyph.width)));
+  const size_t shift = bit & 7;
+  for (size_t row = 0; row < static_cast<size_t>(glyph.height); ++row) {
+    const uint8_t* src = &glyph.bits[row * glyph_stride];
+    const std::span<uint8_t> out = dst.subspan(row * stride + (bit >> 3));
+    for (size_t k = 0; k < glyph_stride; ++k) {
+      const uint8_t byte = k + 1 < glyph_stride ? src[k] : src[k] & last_mask;
+      out[k] |= static_cast<uint8_t>(byte >> shift);
+      // The low bits spill into the next byte; past the row's end they are all zero.
+      if (shift != 0 && (bit >> 3) + k + 1 < stride) {
+        out[k + 1] |= static_cast<uint8_t>(byte << (8 - shift));
+      }
+    }
+  }
+}
+
 }  // namespace
 
 ServerSession::ServerSession(SlimServer* server, uint32_t id, int32_t width, int32_t height)
@@ -214,21 +237,51 @@ void ServerSession::FillRect(const Rect& r, Pixel color) {
   damage_.Subtract(clipped);
   pending_.emplace_back(std::in_place_type<FillCommand>, clipped, color);
   // The FILL bypasses the encoder (and thus refinement), so mirror it into the shadow.
-  tracker_.SyncRect(fb_, clipped);
+  tracker_.SyncFill(clipped, color);
 }
 
 void ServerSession::DrawGlyphs(int32_t x, int32_t y, std::span<const GlyphBitmap* const> glyphs,
                                Pixel fg, Pixel bg) {
   MirrorVideo();
   const SimTime now = server_->simulator()->now();
-  int32_t pen_x = x;
+  // Glyphs of one height sit side by side, so each run of them is laid into one string
+  // bitmap and drawn by one ExpandBitmap call, row by row across the run, instead of a
+  // byte or two per glyph row. The pixels and the damage are those of expanding glyph by
+  // glyph: the run's rect is exactly the union of its glyphs' rects.
+  std::vector<uint8_t> bits;
   Rect dirty{};
-  for (const GlyphBitmap* glyph : glyphs) {
-    SLIM_DCHECK(glyph != nullptr);
-    const Rect dst{pen_x, y, glyph->width, glyph->height};
-    fb_.ExpandBitmap(dst, glyph->bits, fg, bg);
-    dirty = BoundingUnion(dirty, Intersect(dst, fb_.bounds()));
-    pen_x += glyph->width;
+  int32_t pen_x = x;
+  for (size_t begin = 0; begin < glyphs.size();) {
+    SLIM_DCHECK(glyphs[begin] != nullptr);
+    const int32_t height = glyphs[begin]->height;
+    size_t end = begin;
+    int32_t run_w = 0;
+    for (; end < glyphs.size() && glyphs[end]->height == height && glyphs[end]->width > 0;
+         ++end) {
+      const GlyphBitmap& glyph = *glyphs[end];
+      SLIM_CHECK(glyph.bits.size() >= (static_cast<size_t>(glyph.width) + 7) / 8 *
+                                          static_cast<size_t>(std::max(height, 0)));
+      run_w += glyph.width;
+    }
+    if (end == begin) {  // a glyph of no width draws nothing
+      pen_x += glyphs[begin++]->width;
+      continue;
+    }
+    const Rect run{pen_x, y, run_w, height};
+    const Rect clipped = Intersect(run, fb_.bounds());
+    if (!clipped.empty()) {
+      const size_t stride = (static_cast<size_t>(run_w) + 7) / 8;
+      bits.assign(stride * static_cast<size_t>(height), 0);
+      size_t bit = 0;
+      for (size_t g = begin; g < end; ++g) {
+        OrGlyphAt(*glyphs[g], bit, bits, stride);
+        bit += static_cast<size_t>(glyphs[g]->width);
+      }
+      fb_.ExpandBitmap(run, bits, fg, bg);
+      dirty = BoundingUnion(dirty, clipped);
+    }
+    pen_x += run_w;
+    begin = end;
   }
   if (!dirty.empty()) {
     damage_.Add(dirty);

@@ -83,7 +83,7 @@ SlimServer::SlimServer(Simulator* sim, Fabric* fabric, ServerOptions options)
     : sim_(sim), options_(options), auth_(0x51e7e5c4e7u) {
   SLIM_CHECK(sim != nullptr && fabric != nullptr);
   endpoint_ = std::make_unique<SlimEndpoint>(fabric, fabric->AddNode());
-  endpoint_->set_handler([this](const Message& msg, NodeId from) { OnMessage(msg, from); });
+  endpoint_->set_handler([this](Message&& msg, NodeId from) { OnMessage(msg, from); });
   tx_ = std::make_unique<TransmitQueue>(sim_, endpoint_.get(), options_.model_cpu_delay);
 }
 

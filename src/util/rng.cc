@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,18 +23,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) {
     word = SplitMix64(s);
   }
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBelow(uint64_t bound) {
@@ -55,11 +41,6 @@ int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
   SLIM_DCHECK(lo <= hi);
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(span == 0 ? NextU64() : NextBelow(span));
-}
-
-double Rng::NextDouble() {
-  // 53 high bits give a uniform double in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::NextBool(double p) {

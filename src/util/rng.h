@@ -7,6 +7,7 @@
 #ifndef SRC_UTIL_RNG_H_
 #define SRC_UTIL_RNG_H_
 
+#include <bit>
 #include <cstdint>
 
 namespace slim {
@@ -15,8 +16,19 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x5f11a9e1u);
 
-  // Uniform over the full 64-bit range.
-  uint64_t NextU64();
+  // Uniform over the full 64-bit range. Inline, like NextDouble: the content generators
+  // draw one per pixel.
+  uint64_t NextU64() {
+    const uint64_t result = std::rotl(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform over [0, bound). bound must be nonzero.
   uint64_t NextBelow(uint64_t bound);
@@ -24,8 +36,8 @@ class Rng {
   // Uniform over [lo, hi] inclusive. Requires lo <= hi.
   int64_t NextInRange(int64_t lo, int64_t hi);
 
-  // Uniform over [0, 1).
-  double NextDouble();
+  // Uniform over [0, 1): 53 high bits.
+  double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
   // True with probability p (clamped to [0, 1]).
   bool NextBool(double p);

@@ -24,10 +24,8 @@ VncViewerSystem::VncViewerSystem(Simulator* sim, Fabric* fabric, ServerSession* 
   SLIM_CHECK(sim != nullptr && fabric != nullptr && source != nullptr);
   server_end_ = std::make_unique<SlimEndpoint>(fabric, fabric->AddNode());
   viewer_end_ = std::make_unique<SlimEndpoint>(fabric, fabric->AddNode());
-  server_end_->set_handler(
-      [this](const Message& msg, NodeId from) { OnServerMessage(msg, from); });
-  viewer_end_->set_handler(
-      [this](const Message& msg, NodeId from) { OnViewerMessage(msg, from); });
+  server_end_->set_handler([this](Message&& msg, NodeId from) { OnServerMessage(msg, from); });
+  viewer_end_->set_handler([this](Message&& msg, NodeId from) { OnViewerMessage(msg, from); });
 }
 
 void VncViewerSystem::Start() {

@@ -10,6 +10,7 @@
 #include "src/net/fabric.h"
 #include "src/server/slim_server.h"
 #include "src/sim/simulator.h"
+#include "tests/photo_block_reference.h"
 
 namespace slim {
 namespace {
@@ -90,6 +91,24 @@ TEST(ContentTest, GeneratorsAreDeterministicPerSeed) {
   Rng a(7);
   Rng b(7);
   EXPECT_EQ(MakePhotoBlock(&a, 32, 32), MakePhotoBlock(&b, 32, 32));
+}
+
+// MakePhotoBlock lerps once per row of lattice cells; it must equal the per-pixel
+// original bit for bit and consume the same draws, for sizes below one 16-pixel cell,
+// sizes that are not multiples of 16, and empty blocks.
+TEST(ContentTest, PhotoBlockMatchesPerPixelReference) {
+  const int32_t sizes[] = {0, 1, 2, 7, 15, 16, 17, 31, 32, 33, 48, 50, 100};
+  uint64_t seed = 11;
+  for (const int32_t w : sizes) {
+    for (const int32_t h : sizes) {
+      Rng rng(seed);
+      Rng oracle(seed);
+      ++seed;
+      ASSERT_EQ(MakePhotoBlock(&rng, w, h), reference::MakePhotoBlock(&oracle, w, h))
+          << w << "x" << h;
+      ASSERT_EQ(rng.NextU64(), oracle.NextU64()) << "rng position after " << w << "x" << h;
+    }
+  }
 }
 
 // Every application must start, accept a stream of arbitrary input, keep all drawing inside

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "src/apps/content.h"
 #include "src/codec/decoder.h"
@@ -83,6 +85,71 @@ TEST(DecoderTest, ApplyRejectsMalformedWithoutTouchingFramebuffer) {
   bad.rgb.assign(5, 0);
   EXPECT_FALSE(ApplyCommand(DisplayCommand(bad), &fb));
   EXPECT_EQ(fb.ContentHash(), before);
+}
+
+// The per-pixel form of a SET: the payload unpacked whole, then written with SetPixels.
+Framebuffer ApplySetPerPixel(Framebuffer fb, const SetCommand& set) {
+  std::vector<Pixel> pixels(set.rgb.size() / 3);
+  for (size_t i = 0; i < pixels.size(); ++i) {
+    pixels[i] = MakePixel(set.rgb[3 * i], set.rgb[3 * i + 1], set.rgb[3 * i + 2]);
+  }
+  fb.SetPixels(set.dst, pixels);
+  return fb;
+}
+
+// A SET unpacks row by row straight into the framebuffer. With dst hanging off each edge
+// (and off several at once), every pixel inside must still take the payload pixel at its
+// offset within dst, as SetPixelsClipsButKeepsSourceAlignment checks for SetPixels.
+TEST(DecoderTest, SetAppliesRowsClippedLikeSetPixels) {
+  Rng rng(808);
+  const auto between = [&rng](int32_t lo, int32_t hi) {
+    return static_cast<int32_t>(rng.NextInRange(lo, hi));
+  };
+  for (int trial = 0; trial < 1000; ++trial) {
+    Framebuffer fb(40, 30);
+    for (int32_t y = 0; y < fb.height(); ++y) {
+      for (int32_t x = 0; x < fb.width(); ++x) {
+        fb.PutPixel(x, y, static_cast<Pixel>(rng.NextU64() & 0xffffff));
+      }
+    }
+    SetCommand set;
+    set.dst = Rect{between(-24, 39), between(-20, 29), between(1, 60), between(1, 45)};
+    set.rgb.resize(static_cast<size_t>(set.dst.area()) * 3);
+    for (uint8_t& b : set.rgb) {
+      b = static_cast<uint8_t>(rng.NextU64());
+    }
+    const Framebuffer expected = ApplySetPerPixel(fb, set);
+    ASSERT_TRUE(ApplyCommand(DisplayCommand(set), &fb));
+    ASSERT_TRUE(std::ranges::equal(fb.data(), expected.data()))
+        << "trial " << trial << " dst " << set.dst.ToString();
+  }
+}
+
+// The encoder packs each SET straight from framebuffer rows: its payload must be the
+// per-pixel packing of what ReadPixels returns for its dst.
+TEST(EncoderTest, SetPayloadPacksFramebufferRows) {
+  Framebuffer fb(97, 45);
+  Rng rng(21);
+  fb.SetPixels(fb.bounds(), MakePhotoBlock(&rng, fb.width(), fb.height()));
+  EncoderOptions options;
+  options.max_set_pixels = 300;  // splits SETs by rows and by columns
+  const Encoder encoder(options);
+  int sets = 0;
+  for (const DisplayCommand& cmd : encoder.EncodeDamage(fb, Region(Rect{3, 2, 90, 40}))) {
+    const auto* set = std::get_if<SetCommand>(&cmd);
+    if (set == nullptr) {
+      continue;
+    }
+    ++sets;
+    std::vector<Pixel> pixels;
+    fb.ReadPixels(set->dst, &pixels);
+    std::vector<uint8_t> expected;
+    for (const Pixel p : pixels) {
+      expected.insert(expected.end(), {PixelR(p), PixelG(p), PixelB(p)});
+    }
+    ASSERT_EQ(set->rgb, expected) << set->dst.ToString();
+  }
+  EXPECT_GT(sets, 1);
 }
 
 TEST(DecoderTest, FillApplies) {

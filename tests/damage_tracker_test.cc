@@ -4,7 +4,9 @@
 //   (b) applying the scroll-salvage COPYs plus the commands encoded from the refined
 //       region to a replica of the previous frame reproduces the new frame bit-exactly,
 //   (c) the hash-indexed scroll detector agrees with the probe-based reference detector
-//       (tests/scroll_probe_reference.h) on randomized scroll / noise / ambiguous inputs,
+//       (tests/scroll_probe_reference.h) on randomized scroll / noise / ambiguous inputs
+//       and on text between blank margin rows, and finds true scrolls of the largest
+//       magnitude its anchor filter admits,
 // plus the session-level contracts: a RepaintAll of an unchanged frame transmits nothing,
 // and a session salvages hint-less scrolls as COPYs and converges. ctest also runs the
 // suite pinned to the scalar kernels (damage_tracker_test_scalar_kernels, through
@@ -62,6 +64,22 @@ Region MutateRandomly(Framebuffer* fb, Rng* rng, int mutations) {
     damage.Add(clipped);
   }
   return damage;
+}
+
+// Paints bicolor text lines 8 rows tall, 3 blank rows apart, into `area` of fb (which
+// the caller filled with the background); each line has its own ink color and phase.
+void PaintTextLines(Framebuffer* fb, Rng* rng, const Rect& area) {
+  for (int32_t y0 = area.y; y0 + 8 <= area.bottom(); y0 += 11) {
+    const Pixel ink = static_cast<Pixel>(rng->NextU64() & 0xffffff);
+    const int32_t phase = static_cast<int32_t>(rng->NextBelow(7));
+    for (int32_t y = y0; y < y0 + 8; ++y) {
+      for (int32_t x = area.x; x < area.right(); ++x) {
+        if ((x * 5 + y * 3 + phase) % 7 < 3) {
+          fb->PutPixel(x, y, ink);
+        }
+      }
+    }
+  }
 }
 
 class RefineProperty : public ::testing::TestWithParam<int> {};
@@ -178,13 +196,15 @@ TEST_P(RefineProperty, SalvagedScrollPlusResidualRoundTrips) {
 }
 
 // Property (c): the hash-indexed detector returns exactly what the probe-based reference
-// returns, across clean scrolls, scroll+noise, pure noise, ambiguous uniform fills, and
-// periodic (duplicate-row) content, for varied rects and shift limits.
+// returns, across clean scrolls, scroll+noise, pure noise, ambiguous uniform fills,
+// periodic (duplicate-row) content, and text between blank margin rows (where a block's
+// first and last rows match some source row for almost every shift, so only the anchor
+// filter's non-uniform rows reject), for varied rects and shift limits.
 TEST_P(RefineProperty, HashScrollDetectorAgreesWithProbeReference) {
   Rng rng(3000 + static_cast<uint64_t>(GetParam()));
   const int32_t w = 100, h = 80;
   Framebuffer before(w, h);
-  const int scenario = GetParam() % 5;
+  const int scenario = GetParam() % 6;
   switch (scenario) {
     case 0:  // unique photo rows: unambiguous
     case 1:
@@ -198,12 +218,16 @@ TEST_P(RefineProperty, HashScrollDetectorAgreesWithProbeReference) {
         before.Fill(Rect{0, y, w, 1}, (y % 7 < 3) ? kWhite : MakePixel(0, 0, 128));
       }
       break;
-    default:  // bicolor texture
+    case 4:  // bicolor texture
       for (int32_t y = 0; y < h; ++y) {
         for (int32_t x = 0; x < w; ++x) {
           before.PutPixel(x, y, (((x / 3) + y) & 1) ? kWhite : kBlack);
         }
       }
+      break;
+    default:  // text lines between blank rows, with blank margins above and below
+      before.Fill(before.bounds(), kWhite);
+      PaintTextLines(&before, &rng, Rect{4, 12, w - 8, h - 24});
       break;
   }
 
@@ -246,7 +270,42 @@ TEST_P(RefineProperty, HashScrollDetectorAgreesWithProbeReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Randomized, RefineProperty, ::testing::Range(0, 20));
+INSTANTIATE_TEST_SUITE_P(Randomized, RefineProperty, ::testing::Range(0, 24));
+
+// The anchor filter's edge: a true scroll of the largest magnitude each sign can confirm
+// (P = min(max_shift, the probe grid's last row, h - 1) for positive dy, N =
+// min(max_shift, h - 1) for negative dy) whose overlap is blank, with random bicolor rows
+// in the exposed strip. The only non-uniform rows then lie just outside the rows every
+// shift's overlap shares, so an anchor taken one row too far would reject the scroll.
+TEST(ScrollDetectorTest, ScrollOfLargestMagnitudeOverBlankRowsIsFound) {
+  Rng rng(5150);
+  const int32_t w = 48;
+  for (const int32_t h : {8, 9, 16, 23, 40, 70}) {
+    for (const int32_t max_shift : {1, 3, 7, 20, 64}) {
+      const int32_t probes_y = std::min<int32_t>(16, h);
+      const int32_t last_grid_row = (probes_y - 1) * h / probes_y;
+      for (const bool positive : {true, false}) {
+        const int32_t m = positive ? std::min({max_shift, last_grid_row, h - 1})
+                                   : std::min(max_shift, h - 1);
+        const int32_t dy = positive ? m : -m;
+        Framebuffer before(w, h, kWhite);
+        Framebuffer after(w, h, kWhite);
+        const Rect strip = positive ? Rect{0, 0, w, m} : Rect{0, h - m, w, m};
+        for (int32_t y = strip.y; y < strip.bottom(); ++y) {
+          for (int32_t x = 0; x < w; ++x) {
+            after.PutPixel(x, y, (rng.NextU64() & 1) ? kBlack : kWhite);
+          }
+        }
+        // Every smaller shift's overlap takes in a strip row, so dy is the only answer.
+        ASSERT_EQ(reference::DetectVerticalScrollProbe(before, after, after.bounds(), max_shift),
+                  dy)
+            << "h=" << h << " max_shift=" << max_shift;
+        ASSERT_EQ(DetectVerticalScroll(before, after, after.bounds(), max_shift), dy)
+            << "h=" << h << " max_shift=" << max_shift;
+      }
+    }
+  }
+}
 
 TEST(DamageTrackerTest, InvalidationPassesDamageThroughUntilFullFrameFlush) {
   const int32_t w = 64, h = 48;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/fb/framebuffer.h"
 #include "src/fb/geometry.h"
 #include "src/util/rng.h"
@@ -199,6 +202,57 @@ TEST(FramebufferTest, ExpandBitmapSetsForegroundWhereBitsSet) {
   EXPECT_EQ(fb.GetPixel(3, 0), kWhite);
   EXPECT_EQ(fb.GetPixel(7, 1), kWhite);
   EXPECT_EQ(fb.GetPixel(6, 1), MakePixel(10, 10, 10));
+}
+
+// Fill and ExpandBitmap against per-pixel references on random rects: clipped on every
+// edge, negative origins, widths 0 to 257 (so a left clip starts the bits at every offset
+// within a byte), fg == bg, and random padding bits in each row's last byte, which must
+// not be drawn. Pixels outside the rect must not change.
+TEST(FramebufferTest, FillAndExpandBitmapMatchPerPixelReference) {
+  Rng rng(2424);
+  const auto between = [&rng](int32_t lo, int32_t hi) {
+    return static_cast<int32_t>(rng.NextInRange(lo, hi));
+  };
+  const auto random_pixel = [&rng] { return static_cast<Pixel>(rng.NextU64() & 0xffffff); };
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int32_t w = between(1, 280);
+    const int32_t h = between(1, 6);
+    Framebuffer fb(w, h);
+    for (int32_t y = 0; y < h; ++y) {
+      for (int32_t x = 0; x < w; ++x) {
+        fb.PutPixel(x, y, random_pixel());
+      }
+    }
+    const Rect r{between(-40, w), between(-3, h), between(0, 257), between(0, 5)};
+    const Pixel fg = random_pixel();
+    const Pixel bg = rng.NextBool(0.2) ? fg : random_pixel();
+    Framebuffer expected = fb;
+    const bool fill = rng.NextBool(0.3);
+    if (fill) {
+      fb.Fill(r, fg);
+      for (int32_t y = r.y; y < r.bottom(); ++y) {
+        for (int32_t x = r.x; x < r.right(); ++x) {
+          expected.PutPixel(x, y, fg);
+        }
+      }
+    } else {
+      const size_t stride = (static_cast<size_t>(r.w) + 7) / 8;
+      std::vector<uint8_t> bits(stride * static_cast<size_t>(r.h));
+      for (uint8_t& b : bits) {
+        b = static_cast<uint8_t>(rng.NextU64());
+      }
+      fb.ExpandBitmap(r, bits, fg, bg);
+      for (int32_t y = 0; y < r.h; ++y) {
+        for (int32_t x = 0; x < r.w; ++x) {
+          const uint8_t byte = bits[static_cast<size_t>(y) * stride + static_cast<size_t>(x) / 8];
+          expected.PutPixel(r.x + x, r.y + y, ((byte >> (7 - x % 8)) & 1) != 0 ? fg : bg);
+        }
+      }
+    }
+    ASSERT_TRUE(std::ranges::equal(fb.data(), expected.data()))
+        << "trial " << trial << (fill ? " Fill " : " ExpandBitmap ") << r.ToString()
+        << " in " << w << "x" << h;
+  }
 }
 
 TEST(FramebufferTest, CopyRectNonOverlapping) {

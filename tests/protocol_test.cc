@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "src/protocol/messages.h"
 #include "src/protocol/wire.h"
 #include "src/server/checkpoint.h"
@@ -392,13 +396,26 @@ TEST(CommandTest, UncompressedBytesIsThreePerPixel) {
   EXPECT_EQ(UncompressedBytes(DisplayCommand(fill)), 20 * 10 * 3);
 }
 
+// SET rows against the per-pixel wire layout (R, G, B per pixel), for every row length up
+// to 257: packing writes exactly 3n bytes, and unpacking them gives the pixels back.
 TEST(CommandTest, PackUnpackRgbRoundTrip) {
   Rng rng(5);
-  std::vector<Pixel> pixels(257);
-  for (Pixel& p : pixels) {
-    p = static_cast<Pixel>(rng.NextU64() & 0xffffff);
+  for (size_t n = 0; n <= 257; ++n) {
+    std::vector<Pixel> pixels(n);
+    std::vector<uint8_t> expected;
+    for (Pixel& p : pixels) {
+      p = static_cast<Pixel>(rng.NextU64() & 0xffffff);
+      expected.insert(expected.end(), {PixelR(p), PixelG(p), PixelB(p)});
+    }
+    std::vector<uint8_t> rgb(3 * n + 1, 0xa5);  // one guard byte past the row
+    PackSetRow(pixels, rgb.data());
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), rgb.begin())) << n;
+    ASSERT_EQ(rgb.back(), 0xa5) << n;
+    std::vector<Pixel> back(n + 1, kWhite);
+    UnpackSetRow(rgb.data(), std::span(back).first(n));
+    ASSERT_TRUE(std::equal(pixels.begin(), pixels.end(), back.begin())) << n;
+    ASSERT_EQ(back.back(), kWhite) << n;
   }
-  EXPECT_EQ(UnpackRgb(PackRgb(pixels)), pixels);
 }
 
 TEST(CommandTest, TypeNamesStable) {
