@@ -45,8 +45,7 @@ int main() {
   BenchReporter report = HarnessReport("chaos_soak",
                                        "Session recovery under fabric fault injection");
 
-  const int events = EnvInt("SLIM_SOAK_EVENTS", 300);
-  report.Knob("SLIM_SOAK_EVENTS", events);
+  const int events = ScaleKnob(&report, "SLIM_SOAK_EVENTS", 300);
   // Flight dumps land next to the bench report by default so a default soak run leaves
   // inspectable evidence for every breach (SLIM_FLIGHT_DIR overrides).
   std::string flight_dir = EnvPath("SLIM_FLIGHT_DIR");

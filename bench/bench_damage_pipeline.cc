@@ -123,21 +123,16 @@ PassResult RunPass(int32_t width, int32_t height, int frames, bool refined) {
 
 int main() {
   using namespace slim;
-  const int frames = EnvInt("SLIM_DP_FRAMES", 40);
-  const int32_t width = EnvInt("SLIM_DP_WIDTH", 1280);
-  const int32_t height = EnvInt("SLIM_DP_HEIGHT", 1024);
-  const int reps = EnvInt("SLIM_DP_REPS", 25);
-
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
   ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
   BenchReporter report = HarnessReport("damage_pipeline",
                                        "Shadow-frame damage refinement vs full-damage "
                                        "encoding on a scroll-heavy workload");
-  report.Knob("SLIM_DP_FRAMES", frames);
-  report.Knob("SLIM_DP_WIDTH", width);
-  report.Knob("SLIM_DP_HEIGHT", height);
-  report.Knob("SLIM_DP_REPS", reps);
+  const int frames = ScaleKnob(&report, "SLIM_DP_FRAMES", 40);
+  const int32_t width = ScaleKnob(&report, "SLIM_DP_WIDTH", 1280);
+  const int32_t height = ScaleKnob(&report, "SLIM_DP_HEIGHT", 1024);
+  const int reps = ScaleKnob(&report, "SLIM_DP_REPS", 25);
 
   const double mpix =
       static_cast<double>(frames) * width * height / 1e6;  // damage analyzed per pass

@@ -6,38 +6,11 @@
 // slightly better because a waking burst is more likely to find a free CPU.
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/loadgen/loadgen.h"
 #include "src/util/table.h"
-
-namespace slim {
-namespace {
-
-double AddedLatencyMs(int users, int cpus, SimDuration horizon, uint64_t seed) {
-  Simulator sim;
-  SchedulerOptions options;
-  options.cpus = cpus;
-  options.ram_bytes = 4LL * 1024 * 1024 * 1024;
-  MpScheduler sched(&sim, options);
-  Rng rng(seed);
-  std::vector<std::unique_ptr<LoadGeneratorProcess>> procs;
-  for (int i = 0; i < users; ++i) {
-    procs.push_back(std::make_unique<LoadGeneratorProcess>(
-        &sim, &sched, SynthesizeProfile(AppKind::kNetscape, horizon, rng.Split()),
-        rng.Split()));
-    procs.back()->Start();
-  }
-  CpuYardstick yardstick(&sim, &sched);
-  yardstick.Start();
-  sim.RunUntil(horizon);
-  return yardstick.AverageAddedLatencyMs();
-}
-
-}  // namespace
-}  // namespace slim
 
 int main() {
   using namespace slim;
@@ -47,7 +20,7 @@ int main() {
   // Perfetto); zero cost when unset.
   ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
   BenchReporter report = HarnessReport("fig10_smp_scaling", "SMP scaling, Netscape users per CPU");
-  const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", 60));
+  const SimDuration horizon = Seconds(ScaleKnob(&report, "SLIM_SECONDS", 60));
 
   const int cpu_configs[] = {1, 2, 4, 8};
   const int per_cpu_counts[] = {2, 4, 6, 8, 10, 12, 14};
@@ -57,8 +30,9 @@ int main() {
     std::vector<std::string> row{Format("%d", per_cpu)};
     for (size_t c = 0; c < 4; ++c) {
       const int cpus = cpu_configs[c];
-      const double ms = AddedLatencyMs(per_cpu * cpus, cpus, horizon,
-                                       0xf16a + static_cast<uint64_t>(per_cpu) * 13 + c);
+      const double ms =
+          CpuSharingAddedLatencyMs(AppKind::kNetscape, per_cpu * cpus, cpus, horizon,
+                                   0xf16a + static_cast<uint64_t>(per_cpu) * 13 + c);
       if (per_cpu == 4) {
         low_load[c] = ms;
       }

@@ -66,7 +66,7 @@ int main() {
   ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
   BenchReporter report = HarnessReport("fig11_if_sharing",
                                        "Round-trip latency vs users sharing the IF");
-  const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", 60));
+  const SimDuration horizon = Seconds(ScaleKnob(&report, "SLIM_SECONDS", 60));
 
   struct Sweep {
     AppKind kind;

@@ -8,39 +8,11 @@
 // well past 100% nominal CPU demand, thanks to interactive priority decay.
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/loadgen/loadgen.h"
 #include "src/util/table.h"
-
-namespace slim {
-namespace {
-
-double AddedLatencyMs(AppKind kind, int users, int cpus, SimDuration horizon,
-                      uint64_t seed) {
-  Simulator sim;
-  SchedulerOptions options;
-  options.cpus = cpus;
-  options.ram_bytes = 4LL * 1024 * 1024 * 1024;  // the paper's E4500 configuration
-  MpScheduler sched(&sim, options);
-  Rng rng(seed);
-  std::vector<std::unique_ptr<LoadGeneratorProcess>> procs;
-  procs.reserve(static_cast<size_t>(users));
-  for (int i = 0; i < users; ++i) {
-    procs.push_back(std::make_unique<LoadGeneratorProcess>(
-        &sim, &sched, SynthesizeProfile(kind, horizon, rng.Split()), rng.Split()));
-    procs.back()->Start();
-  }
-  CpuYardstick yardstick(&sim, &sched);
-  yardstick.Start();
-  sim.RunUntil(horizon);
-  return yardstick.AverageAddedLatencyMs();
-}
-
-}  // namespace
-}  // namespace slim
 
 int main() {
   using namespace slim;
@@ -51,7 +23,7 @@ int main() {
   ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
   BenchReporter report = HarnessReport("fig9_cpu_sharing",
                                        "Added yardstick latency vs active users");
-  const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", 60));
+  const SimDuration horizon = Seconds(ScaleKnob(&report, "SLIM_SECONDS", 60));
 
   const int counts[] = {0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 48};
   TextTable table({"users", "Photoshop", "Netscape", "FrameMaker", "PIM"});
@@ -59,8 +31,8 @@ int main() {
   for (const int users : counts) {
     std::vector<std::string> row{Format("%d", users)};
     for (int k = 0; k < kAppKindCount; ++k) {
-      const double ms =
-          AddedLatencyMs(static_cast<AppKind>(k), users, 1, horizon, 0x916 + users * 7 + k);
+      const double ms = CpuSharingAddedLatencyMs(static_cast<AppKind>(k), users, 1, horizon,
+                                                 0x916 + users * 7 + k);
       if (knee[k] == 0 && ms >= 100.0) {
         knee[k] = users;
       }

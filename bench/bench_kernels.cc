@@ -141,16 +141,12 @@ uint32_t ParityChecksum(const KernelOps& ops, const char* kernel,
 
 int main() {
   using namespace slim;
-  const int32_t width = EnvInt("SLIM_KB_WIDTH", 1280);
-  const int rows = EnvInt("SLIM_KB_ROWS", 2048);
-  const int reps = EnvInt("SLIM_KB_REPS", 9);
-
   ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
   BenchReporter report = HarnessReport(
       "kernels", "Per-tier throughput and cross-tier parity of the SIMD pixel kernels");
-  report.Knob("SLIM_KB_WIDTH", width);
-  report.Knob("SLIM_KB_ROWS", rows);
-  report.Knob("SLIM_KB_REPS", reps);
+  const int32_t width = ScaleKnob(&report, "SLIM_KB_WIDTH", 1280);
+  const int rows = ScaleKnob(&report, "SLIM_KB_ROWS", 2048);
+  const int reps = ScaleKnob(&report, "SLIM_KB_REPS", 9);
 
   const auto tiers = AvailableTiers();
   report.Metric("tiers.available", static_cast<int64_t>(tiers.size()), "tiers");

@@ -216,18 +216,14 @@ FailoverNumbers MeasureFailover(const Scale& scale, double loss) {
 
 int main() {
   using namespace slim;
-  Scale scale;
-  scale.reps = EnvInt("SLIM_MIG_REPS", 3);
-  scale.width = EnvInt("SLIM_MIG_WIDTH", 640);
-  scale.height = EnvInt("SLIM_MIG_HEIGHT", 480);
-
   ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
   BenchReporter report = HarnessReport("migration",
                                        "Cross-server hotdesk blackout, checkpoint wire cost, "
                                        "and crash-failover recovery across a server pool");
-  report.Knob("SLIM_MIG_REPS", scale.reps);
-  report.Knob("SLIM_MIG_WIDTH", scale.width);
-  report.Knob("SLIM_MIG_HEIGHT", scale.height);
+  Scale scale;
+  scale.reps = ScaleKnob(&report, "SLIM_MIG_REPS", 3);
+  scale.width = ScaleKnob(&report, "SLIM_MIG_WIDTH", 640);
+  scale.height = ScaleKnob(&report, "SLIM_MIG_HEIGHT", 480);
 
   std::printf("Server-farm migration, %dx%d sessions, %d reps per point\n", scale.width,
               scale.height, scale.reps);

@@ -277,10 +277,8 @@ int main() {
   // SLIM_TRACE=<path.json> captures the run as a Chrome trace (chrome://tracing,
   // Perfetto); zero cost when unset.
   ScopedTraceFile trace(EnvPath("SLIM_TRACE"));
-  constexpr int kDefaultSeconds = 20;
-  BenchReporter report =
-      HarnessReport("sec7_multimedia", "Multimedia applications on SLIM", kDefaultSeconds);
-  const SimDuration horizon = Seconds(EnvInt("SLIM_SECONDS", kDefaultSeconds));
+  BenchReporter report = HarnessReport("sec7_multimedia", "Multimedia applications on SLIM");
+  const SimDuration horizon = Seconds(ScaleKnob(&report, "SLIM_SECONDS", 20));
 
   TextTable table({"Experiment", "paper fps", "fps", "paper Mbps", "Mbps", "console busy",
                    "drops"});

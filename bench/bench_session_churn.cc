@@ -45,12 +45,9 @@ int main() {
   BenchReporter report = HarnessReport("session_churn",
                                        "Hotdesk churn and console liveness under chaos");
 
-  const int n_sessions = EnvInt("SLIM_CHURN_SESSIONS", 4);
-  const int n_consoles = EnvInt("SLIM_CHURN_CONSOLES", 6);
-  const int n_ops = EnvInt("SLIM_CHURN_OPS", 120);
-  report.Knob("SLIM_CHURN_SESSIONS", n_sessions);
-  report.Knob("SLIM_CHURN_CONSOLES", n_consoles);
-  report.Knob("SLIM_CHURN_OPS", n_ops);
+  const int n_sessions = ScaleKnob(&report, "SLIM_CHURN_SESSIONS", 4);
+  const int n_consoles = ScaleKnob(&report, "SLIM_CHURN_CONSOLES", 6);
+  const int n_ops = ScaleKnob(&report, "SLIM_CHURN_OPS", 120);
 
   std::vector<ProfileRow> rows;
   rows.push_back({"healthy", {}});

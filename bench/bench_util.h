@@ -3,11 +3,14 @@
 // library as an argument or option.
 //
 // Scale knobs keep the default run to seconds while a paper-scale run
-// (SLIM_USERS=50 SLIM_MINUTES=10) reproduces the full study:
+// (SLIM_USERS=50 SLIM_MINUTES=10) reproduces the full study. A harness reads each of its
+// knobs through ScaleKnob, so its report's "scale" block lists exactly those:
 //
-//   SLIM_USERS    simulated users per application      (default 12, paper 50)
-//   SLIM_MINUTES  simulated minutes per user session   (default 5, paper 10)
-//   SLIM_SECONDS  horizon for sharing experiments      (default 60)
+//   SLIM_USERS    users per application in bench_user_study      (default 12, paper 50)
+//   SLIM_MINUTES  minutes per user session in bench_user_study   (default 5, paper 10)
+//   SLIM_SECONDS  horizon of fig9, fig10, fig11 (default 60) and sec7 (default 20)
+//
+// and each harness's own (SLIM_SOAK_EVENTS, SLIM_CHURN_*, SLIM_DP_*, SLIM_KB_*, SLIM_MIG_*).
 //
 // Output paths, all off or in the cwd when unset:
 //
@@ -15,8 +18,6 @@
 //   SLIM_TRACE        sim-time Chrome trace file (ScopedTraceFile in each harness main)
 //   SLIM_STATS_JSONL  registry snapshot stream for tools/slimtop (MaybeStreamStats)
 //   SLIM_FLIGHT_DIR   latency-audit flight dumps (bench_chaos_soak)
-//
-// Individual harnesses add their own scale knobs (SLIM_SOAK_EVENTS, ...) through EnvInt.
 
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
@@ -27,12 +28,10 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/obs/bench_report.h"
 #include "src/obs/stats_stream.h"
 #include "src/obs/trace.h"
-#include "src/workload/user_study.h"
 
 namespace slim {
 
@@ -67,30 +66,18 @@ inline std::string EnvPath(const char* name) {
   return value == nullptr ? std::string() : std::string(value);
 }
 
-inline int StudyUsers() { return EnvInt("SLIM_USERS", 12); }
-inline SimDuration StudyDuration() {
-  return Seconds(60L * EnvInt("SLIM_MINUTES", 5));
+// The harness's BENCH_<name>.json, written into SLIM_BENCH_DIR. Its "scale" block starts
+// empty; ScaleKnob adds each knob the harness reads.
+inline BenchReporter HarnessReport(std::string name, std::string title) {
+  return BenchReporter(std::move(name), std::move(title), EnvPath("SLIM_BENCH_DIR"), {});
 }
 
-inline std::vector<UserSessionResult> RunStudyFor(AppKind kind) {
-  std::fprintf(stderr, "[study] %s: %d users x %d min...\n", AppKindName(kind), StudyUsers(),
-               EnvInt("SLIM_MINUTES", 5));
-  return RunUserStudy(kind, StudyUsers(), StudyDuration(), 0xbe9c5 + static_cast<int>(kind));
-}
-
-// The harness's BENCH_<name>.json, written into SLIM_BENCH_DIR. Every report's "scale"
-// block starts with the three standard knobs; harnesses add their own with Knob(). A
-// harness whose horizon defaults to other than 60 s passes its default, so the report
-// records the horizon it ran.
-inline BenchReporter HarnessReport(std::string name, std::string title,
-                                   int seconds_default = 60) {
-  JsonObject scale;
-  scale.emplace_back("SLIM_USERS", JsonValue(int64_t{EnvInt("SLIM_USERS", 12)}));
-  scale.emplace_back("SLIM_MINUTES", JsonValue(int64_t{EnvInt("SLIM_MINUTES", 5)}));
-  scale.emplace_back("SLIM_SECONDS",
-                     JsonValue(int64_t{EnvInt("SLIM_SECONDS", seconds_default)}));
-  return BenchReporter(std::move(name), std::move(title), EnvPath("SLIM_BENCH_DIR"),
-                       std::move(scale));
+// Reads scale knob `name` through EnvInt and records the value used in `report`'s "scale"
+// block, so a baseline pins every knob that shapes its run and no other.
+inline int ScaleKnob(BenchReporter* report, const char* name, int fallback) {
+  const int value = EnvInt(name, fallback);
+  report->Knob(name, value);
+  return value;
 }
 
 // With SLIM_STATS_JSONL=<path>, streams `registry` to that file once per sim-second for

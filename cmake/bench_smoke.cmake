@@ -7,8 +7,11 @@
 # Fails on: the harness exiting nonzero, not writing its report, the report failing schema
 # validation (schema drift between writer and validator), or its SLIM_TRACE output missing
 # or malformed. The report stays in OUT_DIR, where the harness's bench_diff_smoke* gate
-# (cmake/bench_diff_smoke.cmake) compares it with its committed baseline, so the scale set
-# below must match each baseline's `scale` block (bench_diff refuses mismatched knobs).
+# (cmake/bench_diff_smoke.cmake) compares it with its committed baseline, next to the
+# harness's stdout (<harness>.out), whose tables the bench_smoke_fig<N>_* tests check. A report's `scale`
+# block records only the knobs its harness reads (ScaleKnob in bench/bench_util.h), and
+# bench_diff refuses a report that differs from its baseline on one of them, so each knob
+# set below must match the `scale` block of every baseline that lists it.
 
 foreach(var HARNESS VALIDATOR OUT_DIR)
   if(NOT DEFINED ${var})
@@ -29,7 +32,7 @@ execute_process(
     SLIM_TRACE=${OUT_DIR}/TRACE_${name}.json
     ${HARNESS}
   RESULT_VARIABLE rc
-  OUTPUT_QUIET)
+  OUTPUT_FILE ${OUT_DIR}/${name}.out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "bench_smoke: ${name} exited with ${rc}")
 endif()

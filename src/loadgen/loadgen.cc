@@ -98,6 +98,26 @@ double CpuYardstick::AverageAddedLatencyMs() const {
   return total / static_cast<double>(samples_.size());
 }
 
+double CpuSharingAddedLatencyMs(AppKind kind, int users, int cpus, SimDuration horizon,
+                                uint64_t seed) {
+  Simulator sim;
+  SchedulerOptions options;  // its 4 GB of RAM is the paper's E4500 configuration
+  options.cpus = cpus;
+  MpScheduler sched(&sim, options);
+  Rng rng(seed);
+  std::vector<std::unique_ptr<LoadGeneratorProcess>> procs;
+  procs.reserve(static_cast<size_t>(users));
+  for (int i = 0; i < users; ++i) {
+    procs.push_back(std::make_unique<LoadGeneratorProcess>(
+        &sim, &sched, SynthesizeProfile(kind, horizon, rng.Split()), rng.Split()));
+    procs.back()->Start();
+  }
+  CpuYardstick yardstick(&sim, &sched);
+  yardstick.Start();
+  sim.RunUntil(horizon);
+  return yardstick.AverageAddedLatencyMs();
+}
+
 TrafficGenerator::TrafficGenerator(Simulator* sim, Fabric* fabric, NodeId src, NodeId sink,
                                    ResourceProfile profile, Rng rng)
     : sim_(sim), fabric_(fabric), src_(src), sink_(sink), profile_(std::move(profile)),

@@ -86,6 +86,12 @@ class CpuYardstick {
   std::vector<double> samples_;
 };
 
+// The Section 6.1 experiment behind Figures 9 and 10: `users` load generators replaying
+// `kind` profiles share `cpus` CPUs and 4 GB of RAM with a CpuYardstick for `horizon`.
+// Returns the yardstick's average added latency in ms.
+double CpuSharingAddedLatencyMs(AppKind kind, int users, int cpus, SimDuration horizon,
+                                uint64_t seed);
+
 // Background traffic source for the IF-sharing experiment: replays a profile's network
 // bytes as display-update-sized datagram bursts from `src` to `sink`.
 class TrafficGenerator {

@@ -25,7 +25,7 @@ class BenchReporter {
   // schema drift fails CI instead of silently producing unparseable trajectories.
   static constexpr int64_t kSchemaVersion = 1;
 
-  // `name` identifies the harness (e.g. "fig7_service_times"); the report lands at
+  // `name` identifies the harness (e.g. "user_study"); the report lands at
   // <dir>/BENCH_<name>.json, or in the cwd when `dir` is empty. `scale` is the run's base
   // "scale" block; harness-specific knobs are added with Knob().
   BenchReporter(std::string name, std::string title, const std::string& dir, JsonObject scale);

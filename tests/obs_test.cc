@@ -237,28 +237,29 @@ TEST(EnvIntTest, ParsesValidAndFallsBackOnGarbage) {
   EXPECT_EQ(EnvInt("SLIM_TEST_KNOB", 5), 5);
 }
 
-// Every harness report starts from the same scale block, read from the environment in
-// this order, and lands in SLIM_BENCH_DIR.
+// A harness report starts with an empty scale block, records each knob the harness reads
+// through ScaleKnob with the value it used, and lands in SLIM_BENCH_DIR.
 TEST(EnvIntTest, HarnessReportTakesScaleAndDirectoryFromTheEnvironment) {
   setenv("SLIM_USERS", "2", 1);
-  setenv("SLIM_MINUTES", "1", 1);
+  setenv("SLIM_MINUTES", "banana", 1);
   unsetenv("SLIM_SECONDS");
   setenv("SLIM_BENCH_DIR", testing::TempDir().c_str(), 1);
   BenchReporter report = HarnessReport("unit_test", "scale");
+  EXPECT_TRUE(report.Document().Find("scale")->as_object().empty());
+  EXPECT_EQ(report.path(), testing::TempDir() + "/BENCH_unit_test.json");
+
+  EXPECT_EQ(ScaleKnob(&report, "SLIM_USERS", 12), 2);
+  EXPECT_EQ(ScaleKnob(&report, "SLIM_MINUTES", 5), 5);   // garbage: the fallback
+  EXPECT_EQ(ScaleKnob(&report, "SLIM_SECONDS", 20), 20);  // unset: the fallback
   const JsonValue doc = report.Document();
   const JsonObject& scale = doc.Find("scale")->as_object();
   ASSERT_EQ(scale.size(), 3u);
   EXPECT_EQ(scale[0].first, "SLIM_USERS");
   EXPECT_EQ(scale[0].second.as_int(), 2);
   EXPECT_EQ(scale[1].first, "SLIM_MINUTES");
-  EXPECT_EQ(scale[1].second.as_int(), 1);
+  EXPECT_EQ(scale[1].second.as_int(), 5);
   EXPECT_EQ(scale[2].first, "SLIM_SECONDS");
-  EXPECT_EQ(scale[2].second.as_int(), 60);
-  EXPECT_EQ(report.path(), testing::TempDir() + "/BENCH_unit_test.json");
-  // A harness with a shorter horizon (bench_sec7_multimedia) reports its own default.
-  BenchReporter short_report = HarnessReport("unit_test_short", "scale", 20);
-  const JsonValue short_doc = short_report.Document();
-  EXPECT_EQ(short_doc.Find("scale")->as_object()[2].second.as_int(), 20);
+  EXPECT_EQ(scale[2].second.as_int(), 20);
   for (const char* name : {"SLIM_USERS", "SLIM_MINUTES", "SLIM_BENCH_DIR"}) {
     unsetenv(name);
   }
