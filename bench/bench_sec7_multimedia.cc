@@ -115,16 +115,14 @@ MediaRun RunMpeg(bool half_lines, SimDuration horizon) {
   return Finish(rig, pipelines, horizon);
 }
 
-// 7.2: live NTSC video (n parallel players, each on its own CPU).
+// 7.2: live NTSC video (n parallel players, each on its own CPU). Parallel players are
+// windows on one desktop: a console shows one session, so they share it.
 MediaRun RunNtsc(int players, int32_t w, int32_t field_h, int32_t dst_h,
                  SimDuration horizon) {
   Rig rig;
-  // Sessions attach first (NewSession drains the simulator), then every player starts so
-  // the parallel instances genuinely overlap in simulated time.
-  std::vector<ServerSession*> sessions;
-  for (int p = 0; p < players; ++p) {
-    sessions.push_back(&rig.NewSession());
-  }
+  // The session attaches first (NewSession drains the simulator), then every player starts
+  // so the parallel instances genuinely overlap in simulated time.
+  ServerSession& session = rig.NewSession();
   std::vector<std::unique_ptr<MediaPipeline>> pipelines;
   for (int p = 0; p < players; ++p) {
     auto source = std::make_shared<SyntheticVideoSource>(w, field_h * 2, 720 + p);
@@ -134,7 +132,7 @@ MediaRun RunNtsc(int players, int32_t w, int32_t field_h, int32_t dst_h,
     options.dst = Rect{20 + (p % 2) * (w + 10), 20 + (p / 2) * (dst_h + 10), w, dst_h};
     options.run_for = horizon;
     pipelines.push_back(std::make_unique<MediaPipeline>(
-        &rig.sim, sessions[static_cast<size_t>(p)], options,
+        &rig.sim, &session, options,
         [source, p](int index, SimDuration* cost) {
           *cost = VideoCpuModel::JpegFieldCost(static_cast<int64_t>(source->width()) *
                                                (source->height() / 2));
@@ -145,16 +143,12 @@ MediaRun RunNtsc(int players, int32_t w, int32_t field_h, int32_t dst_h,
   return Finish(rig, pipelines, horizon);
 }
 
-// 7.3: Quake through the YUV translation layer (n parallel instances).
+// 7.3: Quake through the YUV translation layer (n parallel instances on one desktop).
 MediaRun RunQuake(int instances, int32_t w, int32_t h, SimDuration horizon) {
   Rig rig;
-  std::vector<ServerSession*> sessions;
-  for (int i = 0; i < instances; ++i) {
-    sessions.push_back(&rig.NewSession());
-  }
+  ServerSession& session = rig.NewSession();
   std::vector<std::unique_ptr<MediaPipeline>> pipelines;
   for (int i = 0; i < instances; ++i) {
-    ServerSession& session = *sessions[static_cast<size_t>(i)];
     auto engine = std::make_shared<RaycastEngine>(w, h, 0x9a4e + i);
     auto translation = std::make_shared<YuvTranslationLayer>(engine->palette());
     MediaPipelineOptions options;
@@ -282,8 +276,16 @@ int main() {
 
   TextTable table({"Experiment", "paper fps", "fps", "paper Mbps", "Mbps", "console busy",
                    "drops"});
+  // The paper calls both 4-way rows console-bound; a row that leaves the console idle
+  // reproduces something else.
+  bool console_bound = true;
   auto add = [&](const char* name, const char* slug, const char* paper_fps,
-                 const char* paper_mbps, const MediaRun& run) {
+                 const char* paper_mbps, const MediaRun& run, bool paper_console_bound = false) {
+    if (paper_console_bound && run.console_busy < 0.9) {
+      std::fprintf(stderr, "[sec7] %s: console %.0f%% busy, expected console-bound (>=90%%)\n",
+                   slug, run.console_busy * 100.0);
+      console_bound = false;
+    }
     table.AddRow({name, paper_fps, Format("%.1f", run.fps), paper_mbps,
                   Format("%.1f", run.mbps), Format("%.0f%%", run.console_busy * 100.0),
                   Format("%lld", static_cast<long long>(run.console_drops))});
@@ -300,17 +302,19 @@ int main() {
   add("NTSC 640x240->480 @8bpp", "ntsc_single", "16-20", "19-23",
       RunNtsc(1, 640, 240, 480, horizon));
   add("NTSC 4x 320x240 players", "ntsc_quad", "25-28", "59-66 agg",
-      RunNtsc(4, 320, 240, 240, horizon));
+      RunNtsc(4, 320, 240, 240, horizon), /*paper_console_bound=*/true);
   std::fprintf(stderr, "[sec7] quake...\n");
   add("Quake 640x480 @5bpp", "quake_640", "18-21", "22-26", RunQuake(1, 640, 480, horizon));
   add("Quake 480x360", "quake_480", "28-34", "20-24", RunQuake(1, 480, 360, horizon));
   add("Quake 4x 320x240", "quake_quad", "37-40", "46-50 agg",
-      RunQuake(4, 320, 240, horizon));
+      RunQuake(4, 320, 240, horizon), /*paper_console_bound=*/true);
   std::printf("%s", table.Render().c_str());
   std::printf("\nNotes: fps is per player/instance; Mbps is summed across parallel "
               "instances.\nServer CPU (decode/translation) is the bottleneck for the single "
               "streams; the console's\ndecode pipeline becomes the limit only for the "
-              "4-way parallel cases, as in the paper.\n");
+              "4-way parallel cases, as in the paper.\nConsole busy includes draining "
+              "its queue after the horizon, so a console-bound row can\nread above "
+              "100%%.\n");
 
   std::fprintf(stderr, "[sec7] contended desktop...\n");
   TextTable contended({"Configuration", "key p50", "key p99", "video fps", "vid dropped",
@@ -346,5 +350,5 @@ int main() {
               "every stale frame; adaptation drops\nnewest-wins, keeps the transmit queue "
               "bounded, and leaves keystroke latency at its\nunconstrained level.\n%s",
               contended.Render().c_str());
-  return 0;
+  return console_bound ? 0 : 1;
 }

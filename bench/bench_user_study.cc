@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -282,6 +283,23 @@ std::vector<SimDuration> QueueDelays(const std::vector<Packet>& packets, int64_t
   return delays;
 }
 
+// The `fraction` percentile of sorted added delays (ms) as the paper's 0.01 ms-bucket CDF
+// reads it, by Histogram::InverseCdf's rule: the upper edge of the bucket that holds the
+// ceil(fraction * n)-th delay, with delays past 60 s in the top bucket.
+double AddedDelayPercentile(const std::vector<double>& sorted_ms, double fraction) {
+  constexpr double kTopMs = 60'000.0;
+  constexpr double kBucketMs = 0.01;
+  if (sorted_ms.empty()) {
+    return 0.0;
+  }
+  const auto rank = static_cast<size_t>(
+      std::ceil(fraction * static_cast<double>(sorted_ms.size())));
+  const double ms = std::clamp(sorted_ms[rank - 1], 0.0, kTopMs);
+  const auto buckets = static_cast<size_t>(std::ceil(kTopMs / kBucketMs));
+  const size_t bucket = std::min(static_cast<size_t>(ms / kBucketMs), buckets - 1);
+  return static_cast<double>(bucket + 1) * kBucketMs;
+}
+
 // Figure 6: added packet delays when Netscape protocol traces captured at 100 Mbps are
 // retransmitted over lower-bandwidth links (Section 5.4).
 //
@@ -325,7 +343,7 @@ void Fig6BandwidthScaling(const Study& study, BenchReporter* report) {
       {"56 Kbps", "56kbps", 56'000, "painful"},
   };
   for (const Level& level : levels) {
-    Histogram cdf(0.0, 60'000.0, 0.01);  // added delay in ms, paper's 0.01 ms buckets
+    std::vector<double> added;  // ms
     int64_t over_50 = 0;
     int64_t over_100 = 0;
     int64_t pace_delayed = 0;  // packets the shaper actually held, as in txq.pace_delayed
@@ -334,23 +352,25 @@ void Fig6BandwidthScaling(const Study& study, BenchReporter* report) {
       const std::vector<SimDuration> delays = QueueDelays(per_user[u], level.bps);
       for (size_t i = 0; i < delays.size(); ++i) {
         const double added_ms = ToMillis(delays[i] - base[u][i]);
-        cdf.Add(added_ms);
+        added.push_back(added_ms);
         over_50 += added_ms > 50.0 ? 1 : 0;
         over_100 += added_ms > 100.0 ? 1 : 0;
         pace_delayed += added_ms > 0.0 ? 1 : 0;
         ++n;
       }
     }
+    std::sort(added.begin(), added.end());
     const auto pct = [&](int64_t count) {
       return Format("%.1f%%", 100.0 * static_cast<double>(count) / static_cast<double>(n));
     };
-    table.AddRow({level.name, Format("%.2f ms", cdf.InverseCdf(0.50)),
-                  Format("%.2f ms", cdf.InverseCdf(0.90)),
-                  Format("%.2f ms", cdf.InverseCdf(0.99)), pct(over_50), pct(over_100),
-                  level.verdict});
+    const double p50 = AddedDelayPercentile(added, 0.50);
+    const double p99 = AddedDelayPercentile(added, 0.99);
+    table.AddRow({level.name, Format("%.2f ms", p50),
+                  Format("%.2f ms", AddedDelayPercentile(added, 0.90)),
+                  Format("%.2f ms", p99), pct(over_50), pct(over_100), level.verdict});
     const std::string slug = std::string("fig6.") + level.slug;
-    report->Metric(slug + ".p50_added", cdf.InverseCdf(0.50), "ms");
-    report->Metric(slug + ".p99_added", cdf.InverseCdf(0.99), "ms");
+    report->Metric(slug + ".p50_added", p50, "ms");
+    report->Metric(slug + ".p99_added", p99, "ms");
     report->Metric(slug + ".over_100ms",
                    100.0 * static_cast<double>(over_100) / static_cast<double>(n), "percent");
     report->Metric(slug + ".pace_delayed", pace_delayed, "count");

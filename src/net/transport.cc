@@ -144,7 +144,8 @@ uint64_t SlimEndpoint::Send(NodeId peer, uint32_t session_id, MessageBody body) 
   }
   if (options_.enable_batching && !is_nack) {
     if (bytes.size() - kMessageHeaderBytes <= kMaxBatchableBody) {
-      AppendToBatch(peer, session_id, msg.seq, msg.body);
+      AppendToBatch(peer, session_id, msg.seq, TypeOfMessage(msg),
+                    std::span<const uint8_t>(bytes).subspan(kMessageHeaderBytes));
       return msg.seq;
     }
     // A large message bypasses the batch; anything still held must go first so display
@@ -156,15 +157,15 @@ uint64_t SlimEndpoint::Send(NodeId peer, uint32_t session_id, MessageBody body) 
 }
 
 void SlimEndpoint::AppendToBatch(NodeId peer, uint32_t session_id, uint64_t seq,
-                                 const MessageBody& body) {
+                                 MessageType type, std::span<const uint8_t> payload) {
   Batch& batch = batches_[peer];
   if (!batch.items.empty() && batch.session_id != session_id) {
     FlushBatch(peer);  // one session per batch keeps the compressed header tiny
   }
   BatchItem item;
-  item.type = TypeOfBody(body);
+  item.type = type;
   item.seq = seq;
-  item.payload = SerializeMessageBody(body);
+  item.payload.assign(payload.begin(), payload.end());
   const size_t item_bytes = kBatchItemHeaderBytes + item.payload.size();
   if (kBatchHeaderBytes + batch.bytes + item_bytes > static_cast<size_t>(kMtuBytes)) {
     FlushBatch(peer);
@@ -218,22 +219,15 @@ void SlimEndpoint::OnBatchDatagram(const Datagram& dgram, std::span<const uint8_
     const auto type = static_cast<MessageType>(r.U8());
     const uint16_t len = r.U16();
     const uint64_t seq = r.U64();
-    const std::vector<uint8_t> payload = r.Bytes(len);
-    if (!r.ok()) {
-      ++stats_.reassembly_failures;
-      return;
-    }
-    auto parsed = ParseMessageBody(type, payload);
+    const std::span<const uint8_t> payload = r.View(len);
+    std::optional<MessageBody> parsed =
+        r.ok() ? ParseMessageBody(type, payload) : std::nullopt;
     if (!parsed.has_value()) {
       ++stats_.reassembly_failures;
       return;
     }
-    // Re-frame and route through the common delivery path (dedup, NACK tracking).
-    Message msg;
-    msg.session_id = session_id;
-    msg.seq = seq;
-    msg.body = std::move(*parsed);
-    DeliverMessage(SerializeMessage(msg), dgram.src);
+    // Into the common delivery path (dedup, NACK tracking).
+    DeliverMessage(Message{session_id, seq, std::move(*parsed)}, dgram.src);
   }
   if (r.remaining() != 0) {
     // Trailing bytes a well-formed sender never produces; flag rather than ignore.
@@ -301,10 +295,8 @@ void SlimEndpoint::OnFragmentDatagram(const Datagram& dgram, std::span<const uin
     return;
   }
   ++stats_.fragments_received;
-  std::vector<uint8_t> data = r.Bytes(r.remaining());
-
   if (count == 1) {
-    DeliverMessage(std::move(data), dgram.src);
+    DeliverBytes(r.Rest(), dgram.src);
     return;
   }
 
@@ -321,7 +313,7 @@ void SlimEndpoint::OnFragmentDatagram(const Datagram& dgram, std::span<const uin
   }
   ctx.last_update = fabric_->simulator()->now();
   if (!ctx.fragments[index].has_value()) {
-    ctx.fragments[index] = std::move(data);
+    ctx.fragments[index] = r.Bytes(r.remaining());
     ++ctx.received;
   }
   if (ctx.received == ctx.frag_count) {
@@ -335,7 +327,7 @@ void SlimEndpoint::OnFragmentDatagram(const Datagram& dgram, std::span<const uin
       whole.insert(whole.end(), frag->begin(), frag->end());
     }
     reasm_.erase(key);
-    DeliverMessage(std::move(whole), dgram.src);
+    DeliverBytes(whole, dgram.src);
     return;
   }
   if (reasm_.size() > options_.max_reassembly) {
@@ -407,53 +399,57 @@ void SlimEndpoint::ArmReassemblySweep() {
       fabric_->simulator()->Schedule(delay, [this] { SweepReassembly(); });
 }
 
-void SlimEndpoint::DeliverMessage(std::vector<uint8_t> bytes, NodeId from) {
+void SlimEndpoint::DeliverBytes(std::span<const uint8_t> bytes, NodeId from) {
   std::optional<Message> msg = ParseMessage(bytes);
   if (!msg.has_value()) {
     ++stats_.reassembly_failures;
     return;
   }
-  if (std::holds_alternative<NackMsg>(msg->body)) {
-    HandleNack(std::get<NackMsg>(msg->body), from);
+  DeliverMessage(std::move(*msg), from);
+}
+
+void SlimEndpoint::DeliverMessage(Message msg, NodeId from) {
+  if (const auto* nack = std::get_if<NackMsg>(&msg.body)) {
+    HandleNack(*nack, from);
     return;
   }
-  if (msg->seq != 0) {
+  if (msg.seq != 0) {
     DedupWindow& dedup = recent_delivered_[from];
     // At or below the floor means the seq was already delivered and then aged out of the
     // window; without the floor, a sufficiently stale replay would be applied twice.
-    if (msg->seq <= dedup.floor || dedup.seen.count(msg->seq) > 0) {
+    if (msg.seq <= dedup.floor || dedup.seen.count(msg.seq) > 0) {
       ++stats_.duplicate_messages;
       // An abandoned duplicate context may have re-flagged this seq as missing; it is not.
       PeerRecvState& dup_state = recv_state_[from];
-      ResolveMissing(dup_state, msg->seq, "replayed");
-      dup_state.missing.erase(msg->seq);
+      ResolveMissing(dup_state, msg.seq, "replayed");
+      dup_state.missing.erase(msg.seq);
       return;  // Idempotent replay: already applied, drop quietly.
     }
-    dedup.seen.insert(msg->seq);
+    dedup.seen.insert(msg.seq);
     while (dedup.seen.size() > kDedupWindow) {
       dedup.floor = *dedup.seen.begin();
       dedup.seen.erase(dedup.seen.begin());
     }
     PeerRecvState& state = recv_state_[from];
-    if (msg->seq > state.max_seq) {
+    if (msg.seq > state.max_seq) {
       // Sequences start at 1, so anything between the last maximum and this message was
       // lost (or is still in flight; a spurious NACK is harmless, replay is idempotent).
-      for (uint64_t s = state.max_seq + 1; s < msg->seq && state.missing.size() < 512; ++s) {
+      for (uint64_t s = state.max_seq + 1; s < msg.seq && state.missing.size() < 512; ++s) {
         state.missing.insert(s);
         NoteMissing(state, s);
       }
-      state.max_seq = msg->seq;
+      state.max_seq = msg.seq;
     } else {
-      ResolveMissing(state, msg->seq, "replayed");
-      state.missing.erase(msg->seq);
+      ResolveMissing(state, msg.seq, "replayed");
+      state.missing.erase(msg.seq);
     }
     if (options_.enable_nack) {
-      MaybeSendNack(from, msg->session_id, state);
+      MaybeSendNack(from, msg.session_id, state);
     }
   }
   ++stats_.messages_received;
   if (handler_) {
-    handler_(std::move(*msg), from);
+    handler_(std::move(msg), from);
   }
 }
 

@@ -121,7 +121,10 @@ class SlimEndpoint {
 
   void OnDatagram(Datagram dgram);
   void OnFragmentDatagram(const Datagram& dgram, std::span<const uint8_t> body);
-  void DeliverMessage(std::vector<uint8_t> bytes, NodeId from);
+  // Parses a whole serialized message and delivers it; a parse failure counts in
+  // reassembly_failures.
+  void DeliverBytes(std::span<const uint8_t> bytes, NodeId from);
+  void DeliverMessage(Message msg, NodeId from);
   void SendSerialized(NodeId peer, uint64_t msg_seq, const std::vector<uint8_t>& bytes);
   void HandleNack(const NackMsg& nack, NodeId from);
 
@@ -148,7 +151,9 @@ class SlimEndpoint {
     size_t bytes = 0;
     EventId flush_event = kInvalidEventId;
   };
-  void AppendToBatch(NodeId peer, uint32_t session_id, uint64_t seq, const MessageBody& body);
+  // Queues a message's payload (its serialization after the 20-byte header) for `peer`.
+  void AppendToBatch(NodeId peer, uint32_t session_id, uint64_t seq, MessageType type,
+                     std::span<const uint8_t> payload);
   void FlushBatch(NodeId peer);
   void OnBatchDatagram(const Datagram& dgram, std::span<const uint8_t> body);
 

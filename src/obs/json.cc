@@ -206,11 +206,16 @@ class Parser {
       return std::nullopt;
     }
     const char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject();
-    }
-    if (c == '[') {
-      return ParseArray();
+    if (c == '{' || c == '[') {
+      // Each level recurses, so the depth is capped before the stack runs out.
+      if (depth_ == kMaxDepth) {
+        Fail("nesting too deep");
+        return std::nullopt;
+      }
+      ++depth_;
+      std::optional<JsonValue> v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
     }
     if (c == '"') {
       std::optional<std::string> s = ParseString();
@@ -388,8 +393,12 @@ class Parser {
     }
   }
 
+  // Far deeper than any report nests.
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

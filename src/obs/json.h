@@ -82,7 +82,7 @@ class JsonValue {
 };
 
 // Parses a complete JSON document. Returns nullopt (with a position/reason in *error when
-// non-null) on malformed input or trailing garbage.
+// non-null) on malformed input, trailing garbage, or nesting deeper than 512 levels.
 std::optional<JsonValue> JsonParse(std::string_view text, std::string* error = nullptr);
 
 // Escapes `s` into a quoted JSON string literal (used by the streaming trace writer, which

@@ -7,7 +7,8 @@
 //   CSCS   — color-space convert YUV to RGB with optional bilinear scaling (video, games)
 //
 // Commands are pure data: the codec module encodes framebuffer damage into them and applies
-// them to framebuffers; this header only defines their shapes and wire sizes.
+// them to framebuffers. This header defines their shapes; their wire layouts are their field
+// lists in messages.cc, which also defines TypeOf and WireSize.
 
 #ifndef SRC_PROTOCOL_COMMANDS_H_
 #define SRC_PROTOCOL_COMMANDS_H_

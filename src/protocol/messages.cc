@@ -1,477 +1,283 @@
 #include "src/protocol/messages.h"
 
+#include <algorithm>
+#include <array>
+#include <concepts>
+#include <type_traits>
+#include <utility>
+
 #include "src/protocol/wire.h"
-#include "src/util/check.h"
 
 namespace slim {
 
 namespace {
 
-void WriteRect(ByteWriter& w, const Rect& r) {
-  w.I32(r.x);
-  w.I32(r.y);
-  w.I32(r.w);
-  w.I32(r.h);
+constexpr size_t kAlternatives = std::variant_size_v<MessageBody>;
+
+// Each MessageBody alternative's type tag, in variant order.
+constexpr MessageType kTypeOf[] = {
+    MessageType::kSet,              MessageType::kBitmap,           MessageType::kFill,
+    MessageType::kCopy,             MessageType::kCscs,             MessageType::kKeyEvent,
+    MessageType::kMouseEvent,       MessageType::kStatus,           MessageType::kNack,
+    MessageType::kSessionAttach,    MessageType::kSessionDetach,    MessageType::kBandwidthRequest,
+    MessageType::kBandwidthGrant,   MessageType::kAudio,            MessageType::kPing,
+    MessageType::kPong,             MessageType::kSessionRelease,   MessageType::kCheckpointChunk,
+    MessageType::kMigrateBegin,     MessageType::kMigrateCommit,    MessageType::kMigrateAbort,
+};
+static_assert(std::size(kTypeOf) == kAlternatives);
+
+// DisplayCommand's alternatives open MessageBody in the same order, so a command's variant
+// index is its message's, and its CommandType is the same tag.
+static_assert([]<size_t... I>(std::index_sequence<I...>) {
+  return (std::is_same_v<std::variant_alternative_t<I, DisplayCommand>,
+                         std::variant_alternative_t<I, MessageBody>> && ...);
+}(std::make_index_sequence<std::variant_size_v<DisplayCommand>>()));
+
+// `Is<T> auto& m` binds a T or a const T: a reader fills the fields, a writer or sizer
+// reads them.
+template <typename M, typename T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+// The wire format: every message's fields in wire order. `io(a, b, ...)` takes scalars at
+// their declared width, little-endian; bool and the enums are one byte. `io.Tail` is the
+// rest of the payload, `io.Counted` a u32 count and then that many bytes. `io.Require` is a
+// rule the reader enforces. Every payload byte belongs to a field.
+void Fields(auto& io, Is<Rect> auto& r) { io(r.x, r.y, r.w, r.h); }
+
+void Fields(auto& io, Is<SetCommand> auto& m) {
+  Fields(io, m.dst);
+  io.Tail(m.rgb);
+}
+void Fields(auto& io, Is<BitmapCommand> auto& m) {
+  Fields(io, m.dst);
+  io(m.fg, m.bg);
+  io.Tail(m.bits);
+}
+void Fields(auto& io, Is<FillCommand> auto& m) {
+  Fields(io, m.dst);
+  io(m.color);
+}
+void Fields(auto& io, Is<CopyCommand> auto& m) {
+  io(m.src_x, m.src_y);
+  Fields(io, m.dst);
+}
+void Fields(auto& io, Is<CscsCommand> auto& m) {
+  io(m.src_w, m.src_h);
+  Fields(io, m.dst);
+  io(m.depth);
+  io.Tail(m.payload);
+}
+void Fields(auto& io, Is<KeyEventMsg> auto& m) { io(m.keycode, m.pressed); }
+void Fields(auto& io, Is<MouseEventMsg> auto& m) { io(m.x, m.y, m.buttons, m.is_motion); }
+void Fields(auto& io, Is<StatusMsg> auto& m) { io(m.code, m.last_seq_seen); }
+void Fields(auto& io, Is<NackMsg> auto& m) { io(m.first_seq, m.last_seq); }
+void Fields(auto& io, Is<SessionAttachMsg> auto& m) { io(m.card_id); }
+void Fields(auto& io, Is<SessionDetachMsg> auto& m) { io(m.card_id); }
+void Fields(auto& io, Is<BandwidthRequestMsg> auto& m) { io(m.flow_id, m.bits_per_second); }
+void Fields(auto& io, Is<BandwidthGrantMsg> auto& m) {
+  io(m.flow_id, m.bits_per_second, m.total_bps);
+}
+void Fields(auto& io, Is<AudioMsg> auto& m) {
+  io(m.sample_rate);
+  io.Counted(m.samples);
+}
+void Fields(auto& io, Is<PingMsg> auto& m) { io(m.payload); }
+void Fields(auto& io, Is<PongMsg> auto& m) { io(m.payload); }
+void Fields(auto& io, Is<SessionReleaseMsg> auto& m) { io(m.reason); }
+void Fields(auto& io, Is<CheckpointChunkMsg> auto& m) {
+  io(m.epoch, m.round, m.index, m.count, m.offset);
+  io.Tail(m.data);
+  // A chunk outside its own round's chunk table is corrupt even if every byte read cleanly.
+  io.Require(m.count != 0 && m.index < m.count);
+}
+void Fields(auto& io, Is<MigrateBeginMsg> auto& m) {
+  io(m.epoch, m.card_id, m.origin_session, m.round, m.purpose, m.chunk_count, m.total_bytes);
+}
+void Fields(auto& io, Is<MigrateCommitMsg> auto& m) {
+  io(m.epoch, m.round, m.phase);
+  io.Require(m.phase == 1 || m.phase == 2);
+}
+void Fields(auto& io, Is<MigrateAbortMsg> auto& m) { io(m.epoch, m.reason); }
+
+// The values an enum field may carry; the reader rejects any other byte.
+bool Known(CscsDepth d) {
+  return d == CscsDepth::k16 || d == CscsDepth::k12 || d == CscsDepth::k8 ||
+         d == CscsDepth::k6 || d == CscsDepth::k5;
+}
+bool Known(ReleaseReason r) {
+  return r >= ReleaseReason::kHotdesk && r <= ReleaseReason::kMigrated;
+}
+bool Known(MigratePurpose p) {
+  return p == MigratePurpose::kHandoff || p == MigratePurpose::kStandby;
+}
+bool Known(MigrateAbortReason r) {
+  return r >= MigrateAbortReason::kTimeout && r <= MigrateAbortReason::kShutdown;
 }
 
-Rect ReadRect(ByteReader& r) {
-  Rect out;
-  out.x = r.I32();
-  out.y = r.I32();
-  out.w = r.I32();
-  out.h = r.I32();
-  return out;
-}
+template <typename T>
+concept WireScalar = (std::is_arithmetic_v<T> || std::is_enum_v<T>) &&
+                     (sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
 
-void WriteBody(ByteWriter& w, const MessageBody& body) {
-  std::visit(
-      [&w](const auto& b) {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, SetCommand>) {
-          WriteRect(w, b.dst);
-          w.Bytes(b.rgb);
-        } else if constexpr (std::is_same_v<T, BitmapCommand>) {
-          WriteRect(w, b.dst);
-          w.U32(b.fg);
-          w.U32(b.bg);
-          w.Bytes(b.bits);
-        } else if constexpr (std::is_same_v<T, FillCommand>) {
-          WriteRect(w, b.dst);
-          w.U32(b.color);
-        } else if constexpr (std::is_same_v<T, CopyCommand>) {
-          w.I32(b.src_x);
-          w.I32(b.src_y);
-          WriteRect(w, b.dst);
-        } else if constexpr (std::is_same_v<T, CscsCommand>) {
-          w.I32(b.src_w);
-          w.I32(b.src_h);
-          WriteRect(w, b.dst);
-          w.U8(static_cast<uint8_t>(b.depth));
-          w.Bytes(b.payload);
-        } else if constexpr (std::is_same_v<T, KeyEventMsg>) {
-          w.U32(b.keycode);
-          w.U8(b.pressed ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, MouseEventMsg>) {
-          w.I32(b.x);
-          w.I32(b.y);
-          w.U8(b.buttons);
-          w.U8(b.is_motion ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, StatusMsg>) {
-          w.U32(b.code);
-          w.U64(b.last_seq_seen);
-        } else if constexpr (std::is_same_v<T, NackMsg>) {
-          w.U64(b.first_seq);
-          w.U64(b.last_seq);
-        } else if constexpr (std::is_same_v<T, SessionAttachMsg>) {
-          w.U64(b.card_id);
-        } else if constexpr (std::is_same_v<T, SessionDetachMsg>) {
-          w.U64(b.card_id);
-        } else if constexpr (std::is_same_v<T, BandwidthRequestMsg>) {
-          w.U64(b.flow_id);
-          w.I64(b.bits_per_second);
-        } else if constexpr (std::is_same_v<T, BandwidthGrantMsg>) {
-          w.U64(b.flow_id);
-          w.I64(b.bits_per_second);
-          w.I64(b.total_bps);
-        } else if constexpr (std::is_same_v<T, AudioMsg>) {
-          w.U32(b.sample_rate);
-          w.U32(static_cast<uint32_t>(b.samples.size()));
-          w.Bytes(b.samples);
-        } else if constexpr (std::is_same_v<T, PingMsg>) {
-          w.U64(b.payload);
-        } else if constexpr (std::is_same_v<T, PongMsg>) {
-          w.U64(b.payload);
-        } else if constexpr (std::is_same_v<T, SessionReleaseMsg>) {
-          w.U8(static_cast<uint8_t>(b.reason));
-        } else if constexpr (std::is_same_v<T, CheckpointChunkMsg>) {
-          w.U64(b.epoch);
-          w.U32(b.round);
-          w.U32(b.index);
-          w.U32(b.count);
-          w.U64(b.offset);
-          w.Bytes(b.data);
-        } else if constexpr (std::is_same_v<T, MigrateBeginMsg>) {
-          w.U64(b.epoch);
-          w.U64(b.card_id);
-          w.U32(b.origin_session);
-          w.U32(b.round);
-          w.U8(static_cast<uint8_t>(b.purpose));
-          w.U32(b.chunk_count);
-          w.U64(b.total_bytes);
-        } else if constexpr (std::is_same_v<T, MigrateCommitMsg>) {
-          w.U64(b.epoch);
-          w.U32(b.round);
-          w.U8(b.phase);
-        } else if constexpr (std::is_same_v<T, MigrateAbortMsg>) {
-          w.U64(b.epoch);
-          w.U8(static_cast<uint8_t>(b.reason));
-        }
-      },
-      body);
-}
+// Counts the bytes a field list occupies.
+struct Sizer {
+  size_t bytes = 0;
 
-std::optional<MessageBody> ReadBody(MessageType type, ByteReader& r, size_t payload_len) {
-  switch (type) {
-    case MessageType::kSet: {
-      SetCommand c;
-      c.dst = ReadRect(r);
-      if (payload_len < 16) {
-        return std::nullopt;
-      }
-      c.rgb = r.Bytes(payload_len - 16);
-      return MessageBody(std::move(c));
-    }
-    case MessageType::kBitmap: {
-      BitmapCommand c;
-      c.dst = ReadRect(r);
-      c.fg = r.U32();
-      c.bg = r.U32();
-      if (payload_len < 24) {
-        return std::nullopt;
-      }
-      c.bits = r.Bytes(payload_len - 24);
-      return MessageBody(std::move(c));
-    }
-    case MessageType::kFill: {
-      FillCommand c;
-      c.dst = ReadRect(r);
-      c.color = r.U32();
-      return MessageBody(c);
-    }
-    case MessageType::kCopy: {
-      CopyCommand c;
-      c.src_x = r.I32();
-      c.src_y = r.I32();
-      c.dst = ReadRect(r);
-      return MessageBody(c);
-    }
-    case MessageType::kCscs: {
-      CscsCommand c;
-      c.src_w = r.I32();
-      c.src_h = r.I32();
-      c.dst = ReadRect(r);
-      const uint8_t depth = r.U8();
-      switch (depth) {
-        case 16:
-          c.depth = CscsDepth::k16;
-          break;
-        case 12:
-          c.depth = CscsDepth::k12;
-          break;
-        case 8:
-          c.depth = CscsDepth::k8;
-          break;
-        case 6:
-          c.depth = CscsDepth::k6;
-          break;
-        case 5:
-          c.depth = CscsDepth::k5;
-          break;
-        default:
-          return std::nullopt;
-      }
-      if (payload_len < 25) {
-        return std::nullopt;
-      }
-      c.payload = r.Bytes(payload_len - 25);
-      return MessageBody(std::move(c));
-    }
-    case MessageType::kKeyEvent: {
-      KeyEventMsg m;
-      m.keycode = r.U32();
-      m.pressed = r.U8() != 0;
-      return MessageBody(m);
-    }
-    case MessageType::kMouseEvent: {
-      MouseEventMsg m;
-      m.x = r.I32();
-      m.y = r.I32();
-      m.buttons = r.U8();
-      m.is_motion = r.U8() != 0;
-      return MessageBody(m);
-    }
-    case MessageType::kStatus: {
-      StatusMsg m;
-      m.code = r.U32();
-      m.last_seq_seen = r.U64();
-      return MessageBody(m);
-    }
-    case MessageType::kNack: {
-      NackMsg m;
-      m.first_seq = r.U64();
-      m.last_seq = r.U64();
-      return MessageBody(m);
-    }
-    case MessageType::kSessionAttach: {
-      SessionAttachMsg m;
-      m.card_id = r.U64();
-      return MessageBody(m);
-    }
-    case MessageType::kSessionDetach: {
-      SessionDetachMsg m;
-      m.card_id = r.U64();
-      return MessageBody(m);
-    }
-    case MessageType::kBandwidthRequest: {
-      BandwidthRequestMsg m;
-      m.flow_id = r.U64();
-      m.bits_per_second = r.I64();
-      return MessageBody(m);
-    }
-    case MessageType::kBandwidthGrant: {
-      BandwidthGrantMsg m;
-      m.flow_id = r.U64();
-      m.bits_per_second = r.I64();
-      m.total_bps = r.I64();
-      return MessageBody(m);
-    }
-    case MessageType::kAudio: {
-      AudioMsg m;
-      m.sample_rate = r.U32();
-      const uint32_t n = r.U32();
-      m.samples = r.Bytes(n);
-      return MessageBody(std::move(m));
-    }
-    case MessageType::kPing: {
-      PingMsg m;
-      m.payload = r.U64();
-      return MessageBody(m);
-    }
-    case MessageType::kPong: {
-      PongMsg m;
-      m.payload = r.U64();
-      return MessageBody(m);
-    }
-    case MessageType::kSessionRelease: {
-      SessionReleaseMsg m;
-      switch (r.U8()) {
-        case 1:
-          m.reason = ReleaseReason::kHotdesk;
-          break;
-        case 2:
-          m.reason = ReleaseReason::kCardRemoved;
-          break;
-        case 3:
-          m.reason = ReleaseReason::kLivenessTimeout;
-          break;
-        case 4:
-          m.reason = ReleaseReason::kEvicted;
-          break;
-        case 5:
-          m.reason = ReleaseReason::kReplaced;
-          break;
-        case 6:
-          m.reason = ReleaseReason::kMigrated;
-          break;
-        default:
-          return std::nullopt;
-      }
-      return MessageBody(m);
-    }
-    case MessageType::kCheckpointChunk: {
-      CheckpointChunkMsg m;
-      m.epoch = r.U64();
-      m.round = r.U32();
-      m.index = r.U32();
-      m.count = r.U32();
-      m.offset = r.U64();
-      if (payload_len < 28) {
-        return std::nullopt;
-      }
-      m.data = r.Bytes(payload_len - 28);
-      // A chunk that claims to sit outside its own round's chunk table is corrupt even if
-      // every byte read cleanly.
-      if (m.count == 0 || m.index >= m.count) {
-        return std::nullopt;
-      }
-      return MessageBody(std::move(m));
-    }
-    case MessageType::kMigrateBegin: {
-      MigrateBeginMsg m;
-      m.epoch = r.U64();
-      m.card_id = r.U64();
-      m.origin_session = r.U32();
-      m.round = r.U32();
-      switch (r.U8()) {
-        case 1:
-          m.purpose = MigratePurpose::kHandoff;
-          break;
-        case 2:
-          m.purpose = MigratePurpose::kStandby;
-          break;
-        default:
-          return std::nullopt;
-      }
-      m.chunk_count = r.U32();
-      m.total_bytes = r.U64();
-      return MessageBody(m);
-    }
-    case MessageType::kMigrateCommit: {
-      MigrateCommitMsg m;
-      m.epoch = r.U64();
-      m.round = r.U32();
-      m.phase = r.U8();
-      if (m.phase != 1 && m.phase != 2) {
-        return std::nullopt;
-      }
-      return MessageBody(m);
-    }
-    case MessageType::kMigrateAbort: {
-      MigrateAbortMsg m;
-      m.epoch = r.U64();
-      switch (r.U8()) {
-        case 1:
-          m.reason = MigrateAbortReason::kTimeout;
-          break;
-        case 2:
-          m.reason = MigrateAbortReason::kBadCheckpoint;
-          break;
-        case 3:
-          m.reason = MigrateAbortReason::kSuperseded;
-          break;
-        case 4:
-          m.reason = MigrateAbortReason::kShutdown;
-          break;
-        default:
-          return std::nullopt;
-      }
-      return MessageBody(m);
+  void operator()(const WireScalar auto&... fields) { bytes += (sizeof(fields) + ...); }
+  void Tail(const std::vector<uint8_t>& data) { bytes += data.size(); }
+  void Counted(const std::vector<uint8_t>& data) { bytes += 4 + data.size(); }
+  void Require(bool /*rule*/) {}
+};
+
+// Appends a field list's bytes.
+struct Writer {
+  ByteWriter& w;
+
+  void operator()(const WireScalar auto&... fields) { (Put(fields), ...); }
+  void Tail(const std::vector<uint8_t>& data) { w.Bytes(data); }
+  void Counted(const std::vector<uint8_t>& data) {
+    w.U32(static_cast<uint32_t>(data.size()));
+    w.Bytes(data);
+  }
+  void Require(bool /*rule*/) {}
+
+ private:
+  template <typename T>
+  void Put(T v) {
+    const auto u = static_cast<uint64_t>(v);
+    if constexpr (sizeof(T) == 1) {
+      w.U8(static_cast<uint8_t>(u));
+    } else if constexpr (sizeof(T) == 4) {
+      w.U32(static_cast<uint32_t>(u));
+    } else {
+      w.U64(u);
     }
   }
-  return std::nullopt;
+};
+
+// Fills a field list from one whole payload.
+class Reader {
+ public:
+  explicit Reader(std::span<const uint8_t> payload) : r_(payload) {}
+
+  void operator()(WireScalar auto&... fields) { (Get(fields), ...); }
+  void Tail(std::vector<uint8_t>& data) { data = r_.Bytes(r_.remaining()); }
+  void Counted(std::vector<uint8_t>& data) { data = r_.Bytes(r_.U32()); }
+  void Require(bool rule) { rules_hold_ = rules_hold_ && rule; }
+
+  // Every field read in bounds, every rule held, and no payload byte was left over.
+  bool Done() const { return rules_hold_ && r_.ok() && r_.remaining() == 0; }
+
+ private:
+  template <typename T>
+  void Get(T& v) {
+    uint64_t u = 0;
+    if constexpr (sizeof(T) == 1) {
+      u = r_.U8();
+    } else if constexpr (sizeof(T) == 4) {
+      u = r_.U32();
+    } else {
+      u = r_.U64();
+    }
+    if constexpr (std::is_same_v<T, bool>) {
+      v = u != 0;
+    } else {
+      v = static_cast<T>(u);
+    }
+    if constexpr (std::is_enum_v<T>) {
+      Require(Known(v));
+    }
+  }
+
+  ByteReader r_;
+  bool rules_hold_ = true;
+};
+
+// Bytes a message occupies on the wire: the header plus its body's field list.
+template <typename Variant>
+size_t WireBytes(const Variant& body) {
+  const auto payload_bytes = [](const auto& m) {
+    Sizer io;
+    Fields(io, m);
+    return io.bytes;
+  };
+  return kMessageHeaderBytes + std::visit(payload_bytes, body);
+}
+
+// Replaces `body` with alternative I read from `payload`; false if the payload is not
+// exactly one valid message of that kind.
+template <size_t I>
+bool ReadAs(std::span<const uint8_t> payload, MessageBody& body) {
+  Reader io(payload);
+  Fields(io, body.emplace<I>());
+  return io.Done();
+}
+
+constexpr auto kReaders = []<size_t... I>(std::index_sequence<I...>) {
+  return std::array{&ReadAs<I>...};
+}(std::make_index_sequence<kAlternatives>());
+
+bool ReadFields(MessageType type, std::span<const uint8_t> payload, MessageBody& body) {
+  const auto* it = std::find(std::begin(kTypeOf), std::end(kTypeOf), type);
+  return it != std::end(kTypeOf) && kReaders[it - std::begin(kTypeOf)](payload, body);
 }
 
 }  // namespace
 
-MessageType TypeOfBody(const MessageBody& body) {
-  return std::visit(
-      [](const auto& b) -> MessageType {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, SetCommand>) {
-          return MessageType::kSet;
-        } else if constexpr (std::is_same_v<T, BitmapCommand>) {
-          return MessageType::kBitmap;
-        } else if constexpr (std::is_same_v<T, FillCommand>) {
-          return MessageType::kFill;
-        } else if constexpr (std::is_same_v<T, CopyCommand>) {
-          return MessageType::kCopy;
-        } else if constexpr (std::is_same_v<T, CscsCommand>) {
-          return MessageType::kCscs;
-        } else if constexpr (std::is_same_v<T, KeyEventMsg>) {
-          return MessageType::kKeyEvent;
-        } else if constexpr (std::is_same_v<T, MouseEventMsg>) {
-          return MessageType::kMouseEvent;
-        } else if constexpr (std::is_same_v<T, StatusMsg>) {
-          return MessageType::kStatus;
-        } else if constexpr (std::is_same_v<T, NackMsg>) {
-          return MessageType::kNack;
-        } else if constexpr (std::is_same_v<T, SessionAttachMsg>) {
-          return MessageType::kSessionAttach;
-        } else if constexpr (std::is_same_v<T, SessionDetachMsg>) {
-          return MessageType::kSessionDetach;
-        } else if constexpr (std::is_same_v<T, BandwidthRequestMsg>) {
-          return MessageType::kBandwidthRequest;
-        } else if constexpr (std::is_same_v<T, BandwidthGrantMsg>) {
-          return MessageType::kBandwidthGrant;
-        } else if constexpr (std::is_same_v<T, AudioMsg>) {
-          return MessageType::kAudio;
-        } else if constexpr (std::is_same_v<T, PingMsg>) {
-          return MessageType::kPing;
-        } else if constexpr (std::is_same_v<T, PongMsg>) {
-          return MessageType::kPong;
-        } else if constexpr (std::is_same_v<T, SessionReleaseMsg>) {
-          return MessageType::kSessionRelease;
-        } else if constexpr (std::is_same_v<T, CheckpointChunkMsg>) {
-          return MessageType::kCheckpointChunk;
-        } else if constexpr (std::is_same_v<T, MigrateBeginMsg>) {
-          return MessageType::kMigrateBegin;
-        } else if constexpr (std::is_same_v<T, MigrateCommitMsg>) {
-          return MessageType::kMigrateCommit;
-        } else {
-          static_assert(std::is_same_v<T, MigrateAbortMsg>);
-          return MessageType::kMigrateAbort;
-        }
-      },
-      body);
+CommandType TypeOf(const DisplayCommand& cmd) {
+  return static_cast<CommandType>(kTypeOf[cmd.index()]);
 }
 
-MessageType TypeOfMessage(const Message& msg) { return TypeOfBody(msg.body); }
+size_t WireSize(const DisplayCommand& cmd) { return WireBytes(cmd); }
 
-std::vector<uint8_t> SerializeMessageBody(const MessageBody& body) {
-  ByteWriter w;
-  WriteBody(w, body);
-  return w.Take();
-}
+MessageType TypeOfMessage(const Message& msg) { return kTypeOf[msg.body.index()]; }
 
 std::optional<MessageBody> ParseMessageBody(MessageType type,
                                             std::span<const uint8_t> payload) {
-  ByteReader r(payload);
-  auto body = ReadBody(type, r, payload.size());
-  if (!body.has_value() || !r.ok()) {
+  MessageBody body;
+  if (!ReadFields(type, payload, body)) {
     return std::nullopt;
   }
   return body;
 }
 
 std::vector<uint8_t> SerializeMessage(const Message& msg) {
-  ByteWriter body_writer;
-  WriteBody(body_writer, msg.body);
-  const std::vector<uint8_t>& payload = body_writer.data();
-
+  const size_t size = MessageWireSize(msg);
   ByteWriter w;
+  w.Reserve(size);
   w.U8(kMessageMagic);
   w.U8(static_cast<uint8_t>(TypeOfMessage(msg)));
   w.U16(0);
   w.U32(msg.session_id);
   w.U64(msg.seq);
-  w.U32(static_cast<uint32_t>(payload.size()));
-  w.Bytes(payload);
+  w.U32(static_cast<uint32_t>(size - kMessageHeaderBytes));
+  std::visit(
+      [&w](const auto& m) {
+        Writer io{w};
+        Fields(io, m);
+      },
+      msg.body);
   return w.Take();
 }
 
 std::optional<Message> ParseMessage(std::span<const uint8_t> data) {
   ByteReader r(data);
-  if (r.U8() != kMessageMagic) {
-    return std::nullopt;
-  }
-  const uint8_t raw_type = r.U8();
+  const uint8_t magic = r.U8();
+  const auto type = static_cast<MessageType>(r.U8());
   r.U16();  // reserved
   Message msg;
   msg.session_id = r.U32();
   msg.seq = r.U64();
   const uint32_t payload_len = r.U32();
-  if (!r.ok() || r.remaining() < payload_len) {
+  // The payload is exactly the bytes after the header.
+  if (!r.ok() || magic != kMessageMagic || r.remaining() != payload_len ||
+      !ReadFields(type, r.Rest(), msg.body)) {
     return std::nullopt;
   }
-  auto body = ReadBody(static_cast<MessageType>(raw_type), r, payload_len);
-  if (!body.has_value() || !r.ok()) {
-    return std::nullopt;
-  }
-  msg.body = std::move(*body);
   return msg;
 }
 
 size_t MessageWireSize(const Message& msg) { return BodyWireSize(msg.body); }
 
-size_t BodyWireSize(const MessageBody& body) {
-  const auto type = static_cast<uint8_t>(TypeOfBody(body));
-  if (type >= 1 && type <= 5) {
-    return std::visit(
-        [](const auto& b) -> size_t {
-          using T = std::decay_t<decltype(b)>;
-          if constexpr (std::is_same_v<T, SetCommand> || std::is_same_v<T, BitmapCommand> ||
-                        std::is_same_v<T, FillCommand> || std::is_same_v<T, CopyCommand> ||
-                        std::is_same_v<T, CscsCommand>) {
-            return WireSize(DisplayCommand(b));
-          } else {
-            return 0;
-          }
-        },
-        body);
-  }
-  ByteWriter w;
-  WriteBody(w, body);
-  return kMessageHeaderBytes + w.size();
-}
+size_t BodyWireSize(const MessageBody& body) { return WireBytes(body); }
 
 }  // namespace slim

@@ -218,25 +218,26 @@ struct Message {
 MessageType TypeOfMessage(const Message& msg);
 
 // Wire format: u8 magic, u8 type, u16 reserved, u32 session, u64 seq, u32 payload length,
-// payload. Total header size is kMessageHeaderBytes.
+// payload. Total header size is kMessageHeaderBytes. A payload is its body's field list
+// (messages.cc), one list per alternative that serializing, parsing and sizing all walk;
+// the parser rejects a payload with bytes no field reads.
 constexpr size_t kMessageHeaderBytes = 20;
 constexpr uint8_t kMessageMagic = 0xA5;
 
 std::vector<uint8_t> SerializeMessage(const Message& msg);
 std::optional<Message> ParseMessage(std::span<const uint8_t> data);
 
-// Serialized size without actually serializing (used by traffic accounting hot paths).
+// Serialized size, counted from the field list without serializing.
 size_t MessageWireSize(const Message& msg);
 // Same, header included, for a body that has not been wrapped in a Message yet (used by
 // the transmit queue's wire pacing to charge a send against its session's token bucket).
 size_t BodyWireSize(const MessageBody& body);
 
-// Body-level (de)serialization without the 20-byte message header; used by the transport's
-// batching mode (Section 5.4's "header compression and batching of command packets").
-std::vector<uint8_t> SerializeMessageBody(const MessageBody& body);
+// A payload parsed without the 20-byte message header; used by the transport's batching
+// mode (Section 5.4's "header compression and batching of command packets"), whose items
+// carry each message's payload bytes behind a compressed header.
 std::optional<MessageBody> ParseMessageBody(MessageType type,
                                             std::span<const uint8_t> payload);
-MessageType TypeOfBody(const MessageBody& body);
 
 }  // namespace slim
 

@@ -136,10 +136,15 @@ void ByteReader::U32s(std::span<uint32_t> out) {
 }
 
 std::vector<uint8_t> ByteReader::Bytes(size_t n) {
+  const std::span<const uint8_t> bytes = View(n);
+  return std::vector<uint8_t>(bytes.begin(), bytes.end());
+}
+
+std::span<const uint8_t> ByteReader::View(size_t n) {
   if (!Need(n)) {
     return {};
   }
-  std::vector<uint8_t> out(data_.begin() + pos_, data_.begin() + pos_ + n);
+  const std::span<const uint8_t> out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

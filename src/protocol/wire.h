@@ -45,6 +45,8 @@ class ByteReader {
   int32_t I32() { return static_cast<int32_t>(U32()); }
   int64_t I64() { return static_cast<int64_t>(U64()); }
   std::vector<uint8_t> Bytes(size_t n);
+  // The next n bytes without copying them (empty past the end).
+  std::span<const uint8_t> View(size_t n);
   // Fills `out` as one U32 per element, in one bulk copy (zeros past the end).
   void U32s(std::span<uint32_t> out);
 

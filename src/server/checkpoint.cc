@@ -7,24 +7,11 @@
 
 namespace slim {
 
-namespace {
-
-// Hard ceiling the decoder enforces so a corrupt geometry field cannot request an absurd
-// allocation: the largest session geometry anyone simulates is well under 16k x 16k.
-constexpr int32_t kMaxDimension = 16384;
-
-// Blob layout sizes: the header (magic, version, body length), and the body's fixed
-// fields around the pixels (identity and geometry, then 8 counters and 5 x 4 encode stats).
-constexpr size_t kHeaderBytes = 4 + 4 + 8;
-constexpr size_t kBodyFixedBytes = (4 + 8 + 4 + 4) + 8 * 8 + 5 * 4 * 8;
-
-}  // namespace
-
 std::vector<uint8_t> EncodeCheckpoint(const SessionCheckpoint& ckpt) {
   // Header and body go into one buffer sized exactly, with the pixels as one bulk copy.
-  const size_t body_bytes = kBodyFixedBytes + ckpt.fb_pixels.size() * sizeof(Pixel);
+  const size_t body_bytes = kCheckpointFixedBytes + ckpt.fb_pixels.size() * sizeof(Pixel);
   ByteWriter w;
-  w.Reserve(kHeaderBytes + body_bytes);
+  w.Reserve(kCheckpointHeaderBytes + body_bytes);
   w.U32(kCheckpointMagic);
   w.U32(kCheckpointVersion);
   w.U64(static_cast<uint64_t>(body_bytes));
@@ -47,7 +34,7 @@ std::vector<uint8_t> EncodeCheckpoint(const SessionCheckpoint& ckpt) {
     w.I64(ckpt.encode_stats[t].uncompressed_bytes);
     w.I64(ckpt.encode_stats[t].pixels);
   }
-  SLIM_CHECK(w.size() == kHeaderBytes + body_bytes);
+  SLIM_CHECK(w.size() == kCheckpointHeaderBytes + body_bytes);
   return w.Take();
 }
 
@@ -71,8 +58,8 @@ std::optional<SessionCheckpoint> DecodeCheckpoint(std::span<const uint8_t> blob)
   ckpt.card_id = r.U64();
   ckpt.width = r.I32();
   ckpt.height = r.I32();
-  if (!r.ok() || ckpt.width <= 0 || ckpt.height <= 0 || ckpt.width > kMaxDimension ||
-      ckpt.height > kMaxDimension) {
+  if (!r.ok() || ckpt.width <= 0 || ckpt.height <= 0 || ckpt.width > kMaxCheckpointDimension ||
+      ckpt.height > kMaxCheckpointDimension) {
     return std::nullopt;
   }
   const size_t pixel_count = static_cast<size_t>(ckpt.width) * static_cast<size_t>(ckpt.height);

@@ -30,6 +30,18 @@ namespace slim {
 constexpr uint32_t kCheckpointMagic = 0x534C434Bu;  // "SLCK"
 constexpr uint32_t kCheckpointVersion = 2;
 
+// Blob layout sizes: the header (magic, version, body length), and the body's fixed fields
+// around the pixels (identity and geometry, then 8 counters and 5 x 4 encode stats).
+constexpr size_t kCheckpointHeaderBytes = 4 + 4 + 8;
+constexpr size_t kCheckpointFixedBytes = (4 + 8 + 4 + 4) + 8 * 8 + 5 * 4 * 8;
+// Hard ceiling the decoder enforces so a corrupt geometry field cannot request an absurd
+// allocation: the largest session geometry anyone simulates is well under 16k x 16k.
+constexpr int32_t kMaxCheckpointDimension = 16384;
+// The largest blob DecodeCheckpoint accepts; a transfer announcing more cannot succeed.
+constexpr uint64_t kMaxCheckpointBytes =
+    kCheckpointHeaderBytes + kCheckpointFixedBytes +
+    uint64_t{kMaxCheckpointDimension} * kMaxCheckpointDimension * sizeof(Pixel);
+
 // Per-command-type encoder totals, mirroring EncodeStats (slot 0 unused, 1..5 = SET,
 // BITMAP, FILL, COPY, CSCS). Duplicated here rather than including the codec header so
 // the checkpoint format is self-describing.

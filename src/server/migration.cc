@@ -309,7 +309,11 @@ void MigrationManager::ResetIncomingRound(Incoming& in, const MigrateBeginMsg& m
 }
 
 void MigrationManager::OnMigrateBegin(const MigrateBeginMsg& msg, NodeId from) {
-  if (done_.contains(msg.epoch)) {
+  constexpr uint64_t kChunkBytes = MigrationOptions::kChunkBytes;
+  // The Begin sizes the reassembly buffer, so it must describe a blob that could decode,
+  // cut the way every sender cuts one.
+  if (done_.contains(msg.epoch) || msg.total_bytes > kMaxCheckpointBytes ||
+      msg.chunk_count != (msg.total_bytes + kChunkBytes - 1) / kChunkBytes) {
     return;
   }
   Incoming& in = incoming_[msg.epoch];
@@ -346,7 +350,7 @@ void MigrationManager::OnMigrateBegin(const MigrateBeginMsg& msg, NodeId from) {
 
 void MigrationManager::ApplyChunk(Incoming& in, const CheckpointChunkMsg& msg) {
   if (msg.count != in.chunk_count || msg.index >= in.chunk_count ||
-      msg.offset + msg.data.size() > in.total_bytes) {
+      msg.offset > in.total_bytes || msg.data.size() > in.total_bytes - msg.offset) {
     return;  // inconsistent with this round's Begin: drop, the blob decode would reject it
   }
   if (in.got[msg.index]) {

@@ -10,6 +10,8 @@ namespace {
 
 constexpr char kLogMagic[8] = {'S', 'L', 'I', 'M', 'T', 'R', 'C', '1'};
 constexpr char kServiceMagic[8] = {'S', 'L', 'I', 'M', 'S', 'V', 'C', '1'};
+// A ServiceRecord on disk: three times, type and padding, pixels, wire bytes, seq.
+constexpr size_t kServiceRecordBytes = 3 * 8 + 8 + 3 * 8;
 
 void WriteMagic(ByteWriter& w, const char magic[8]) {
   for (int i = 0; i < 8; ++i) {
@@ -112,6 +114,10 @@ std::optional<std::vector<ServiceRecord>> ParseServiceLog(std::span<const uint8_
     return std::nullopt;
   }
   const uint64_t count = r.U64();
+  // Reserve only for records the bytes can hold: a count is not trusted until checked.
+  if (!r.ok() || count > r.remaining() / kServiceRecordBytes) {
+    return std::nullopt;
+  }
   std::vector<ServiceRecord> out;
   out.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

@@ -545,6 +545,35 @@ TEST_F(MigrationFixture, DeadOwnerWithoutWarmCheckpointColdStarts) {
   EXPECT_EQ(manager_b_->stats().failover_restores, 0);
 }
 
+// Any fabric node can send migration traffic. A Begin's sizes allocate the reassembly
+// buffer, so one announcing a blob no decoder accepts, or a chunk count that does not cut
+// its bytes, is dropped; a chunk must land inside its round's blob.
+TEST_F(MigrationFixture, HostileTransferSizesAreDropped) {
+  SlimEndpoint rogue(&fabric_, fabric_.AddNode());
+  const uint64_t huge = uint64_t{1} << 40;
+  rogue.Send(server_b_.node(), 0,
+             MigrateBeginMsg{1, card_, 1, 0, MigratePurpose::kStandby,
+                             static_cast<uint32_t>(huge / MigrationOptions::kChunkBytes), huge});
+  rogue.Send(server_b_.node(), 0,
+             MigrateBeginMsg{2, card_, 1, 0, MigratePurpose::kStandby, 1, 3 * 16384});
+  sim_.RunFor(Milliseconds(100));
+  EXPECT_FALSE(manager_b_->MigrationInFlight());
+
+  // A consistent one-chunk round, then a chunk whose offset wraps past the blob's end.
+  rogue.Send(server_b_.node(), 0,
+             MigrateBeginMsg{3, card_, 1, 0, MigratePurpose::kStandby, 1, 64});
+  CheckpointChunkMsg chunk{3, 0, 0, 1, ~uint64_t{0} - 1, std::vector<uint8_t>(8, 0xab)};
+  rogue.Send(server_b_.node(), 0, chunk);
+  sim_.RunFor(Milliseconds(100));
+  EXPECT_EQ(manager_b_->stats().chunks_received, 0);
+
+  // The server still migrates a real session afterwards.
+  StartSessionAtA();
+  console_b_.InsertCard(server_b_.node(), card_);
+  sim_.RunFor(Seconds(2));
+  EXPECT_EQ(pool_.owner(card_), &server_b_);
+}
+
 // --- Observability ----------------------------------------------------------------------
 
 TEST_F(MigrationFixture, MigrationCountersRegisterAndReadBack) {

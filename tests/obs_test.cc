@@ -58,6 +58,17 @@ TEST(JsonTest, ParserRejectsMalformedInput) {
   }
 }
 
+// The parser recurses once per level, so hostile nesting must end in an error, not in a
+// stack overflow; a report's few levels stay far below the cap.
+TEST(JsonTest, ParserRejectsHostileNestingDepth) {
+  std::string error;
+  EXPECT_FALSE(JsonParse(std::string(1'000'000, '['), &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  const std::string deep = std::string(512, '[') + std::string(512, ']');
+  EXPECT_TRUE(JsonParse(deep).has_value());
+  EXPECT_FALSE(JsonParse("[" + deep + "]").has_value());
+}
+
 TEST(JsonTest, IntegersSurviveExactly) {
   const int64_t big = 9007199254740993;  // 2^53 + 1: breaks if routed through a double
   const std::string text = JsonValue(big).Dump();

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/protocol/messages.h"
@@ -111,6 +114,140 @@ TEST(WireTest, FrameChecksumGoldenValues) {
     EXPECT_EQ(FrameChecksum32(0x5f, input), g.fragment) << g.size << " bytes";
     EXPECT_EQ(FrameChecksum32(0x5e, input), g.batch) << g.size << " bytes";
   }
+}
+
+// One message of every MessageBody alternative, in variant order, with every field set off
+// its default. The golden bytes pin each layout, field order and type tag: a codec change
+// that moves one byte fails here. Each entry is the 20-byte header, then the payload.
+std::vector<Message> EveryMessageKind() {
+  const uint64_t epoch = (7ull << 40) | 3;
+  const std::vector<uint8_t> cscs_payload(CscsPayloadBytes(2, 2, CscsDepth::k12), 0x3c);
+  const std::vector<MessageBody> bodies{
+      SetCommand{Rect{1, -2, 2, 1}, {1, 2, 3, 4, 5, 6}},
+      BitmapCommand{Rect{3, 4, 9, 2}, 0x112233, 0x445566, {0xa5, 0x80, 0x5a, 0x00}},
+      FillCommand{Rect{-5, 6, 7, 8}, 0xabcdef},
+      CopyCommand{-9, 10, Rect{11, 12, 13, 14}},
+      CscsCommand{2, 2, Rect{15, 16, 4, 4}, CscsDepth::k12, cscs_payload},
+      KeyEventMsg{0x41, false},
+      MouseEventMsg{-17, 18, 5, true},
+      StatusMsg{19, 0x0102030405060708},
+      NackMsg{21, 22},
+      SessionAttachMsg{0xcafe},
+      SessionDetachMsg{0xbeef},
+      BandwidthRequestMsg{23, -24},
+      BandwidthGrantMsg{25, 26'000'000, 100'000'000},
+      AudioMsg{44100, {7, 8, 9}},
+      PingMsg{0x1122334455667788},
+      PongMsg{27},
+      SessionReleaseMsg{ReleaseReason::kMigrated},
+      CheckpointChunkMsg{epoch, 2, 1, 3, 16384, {9, 8, 7}},
+      MigrateBeginMsg{epoch, 0xcafe, 42, 2, MigratePurpose::kStandby, 9, 145000},
+      MigrateCommitMsg{epoch, 3, 2},
+      MigrateAbortMsg{epoch, MigrateAbortReason::kShutdown},
+  };
+  std::vector<Message> msgs;
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    msgs.push_back(Message{0x0a0b0c0d, 0x100 + i, bodies[i]});
+  }
+  return msgs;
+}
+
+std::string Hex(std::span<const uint8_t> bytes) {
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out += "0123456789abcdef"[b >> 4];
+    out += "0123456789abcdef"[b & 15];
+  }
+  return out;
+}
+
+TEST(MessageTest, EveryMessageKindSerializesToGoldenBytes) {
+  const std::pair<const char*, const char*> golden[] = {
+      {"a50100000d0c0b0a000100000000000016000000",  // SET
+       "01000000feffffff0200000001000000010203040506"},
+      {"a50200000d0c0b0a01010000000000001c000000",  // BITMAP
+       "030000000400000009000000020000003322110066554400a5805a00"},
+      {"a50300000d0c0b0a020100000000000014000000",  // FILL
+       "fbffffff060000000700000008000000efcdab00"},
+      {"a50400000d0c0b0a030100000000000018000000",  // COPY
+       "f7ffffff0a0000000b0000000c0000000d0000000e000000"},
+      {"a50500000d0c0b0a04010000000000001f000000",  // CSCS
+       "02000000020000000f0000001000000004000000040000000c3c3c3c3c3c3c"},
+      {"a51000000d0c0b0a050100000000000005000000",  // KeyEvent
+       "4100000000"},
+      {"a51100000d0c0b0a06010000000000000a000000",  // MouseEvent
+       "efffffff120000000501"},
+      {"a51200000d0c0b0a07010000000000000c000000",  // Status
+       "130000000807060504030201"},
+      {"a51300000d0c0b0a080100000000000010000000",  // Nack
+       "15000000000000001600000000000000"},
+      {"a51400000d0c0b0a090100000000000008000000",  // SessionAttach
+       "feca000000000000"},
+      {"a51500000d0c0b0a0a0100000000000008000000",  // SessionDetach
+       "efbe000000000000"},
+      {"a51600000d0c0b0a0b0100000000000010000000",  // BandwidthRequest
+       "1700000000000000e8ffffffffffffff"},
+      {"a52100000d0c0b0a0c0100000000000018000000",  // BandwidthGrant
+       "190000000000000080ba8c010000000000e1f50500000000"},
+      {"a52000000d0c0b0a0d010000000000000b000000",  // Audio
+       "44ac000003000000070809"},
+      {"a52200000d0c0b0a0e0100000000000008000000",  // Ping
+       "8877665544332211"},
+      {"a52300000d0c0b0a0f0100000000000008000000",  // Pong
+       "1b00000000000000"},
+      {"a52400000d0c0b0a100100000000000001000000",  // SessionRelease
+       "06"},
+      {"a52500000d0c0b0a11010000000000001f000000",  // CheckpointChunk
+       "03000000000700000200000001000000030000000040000000000000090807"},
+      {"a52600000d0c0b0a120100000000000025000000",  // MigrateBegin
+       "0300000000070000feca0000000000002a0000000200000002090000006836020000000000"},
+      {"a52700000d0c0b0a13010000000000000d000000",  // MigrateCommit
+       "03000000000700000300000002"},
+      {"a52800000d0c0b0a140100000000000009000000",  // MigrateAbort
+       "030000000007000004"},
+  };
+  const std::vector<Message> msgs = EveryMessageKind();
+  ASSERT_EQ(msgs.size(), std::variant_size_v<MessageBody>);
+  ASSERT_EQ(msgs.size(), std::size(golden));
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    ASSERT_EQ(msgs[i].body.index(), i);
+    const std::vector<uint8_t> bytes = SerializeMessage(msgs[i]);
+    EXPECT_EQ(Hex(bytes), std::string(golden[i].first) + golden[i].second)
+        << "alternative " << i;
+    EXPECT_EQ(bytes.size(), MessageWireSize(msgs[i])) << "alternative " << i;
+    const std::optional<Message> back = ParseMessage(bytes);
+    ASSERT_TRUE(back.has_value()) << "alternative " << i;
+    EXPECT_EQ(back->session_id, msgs[i].session_id);
+    EXPECT_EQ(back->seq, msgs[i].seq);
+    EXPECT_TRUE(back->body == msgs[i].body) << "alternative " << i;
+  }
+}
+
+// Every payload byte belongs to a field: bytes that no writer produces are corruption,
+// even where every field reads cleanly.
+TEST(MessageTest, RejectsBytesNoFieldReads) {
+  // A byte after the declared payload.
+  std::vector<uint8_t> trailing =
+      SerializeMessage(Message{1, 1, FillCommand{Rect{0, 0, 1, 1}, 0}});
+  trailing.push_back(0);
+  EXPECT_FALSE(ParseMessage(trailing).has_value());
+
+  // A KeyEvent whose payload length covers two bytes past its fields, which are present.
+  std::vector<uint8_t> key = SerializeMessage(Message{1, 2, KeyEventMsg{65, true}});
+  key[16] += 2;  // the u32 payload length sits at header offset 16
+  key.insert(key.end(), {0, 0});
+  EXPECT_FALSE(ParseMessage(key).has_value());
+
+  // An Audio payload holding one byte more than its sample count.
+  std::vector<uint8_t> audio = SerializeMessage(Message{1, 3, AudioMsg{8000, {1, 2, 3}}});
+  audio[20 + 4] = 2;  // the u32 sample count follows the u32 sample rate
+  EXPECT_FALSE(ParseMessage(audio).has_value());
+
+  // A batched payload with one byte past its fields.
+  const std::vector<uint8_t> whole = SerializeMessage(Message{1, 4, PingMsg{42}});
+  std::vector<uint8_t> ping(whole.begin() + kMessageHeaderBytes, whole.end());
+  ping.push_back(0);
+  EXPECT_FALSE(ParseMessageBody(MessageType::kPing, ping).has_value());
 }
 
 Message RoundTrip(const Message& msg) {

@@ -101,6 +101,14 @@ TEST(TraceFileTest, ServiceLogRoundTrip) {
   }
 }
 
+// A record count is checked against the bytes present before anything is reserved: a
+// one-record log claiming 2^40 records is rejected, not a 56 TB allocation.
+TEST(TraceFileTest, ServiceLogRejectsCountBeyondItsBytes) {
+  std::vector<uint8_t> bytes = SerializeServiceLog({ServiceRecord{}});
+  bytes[8 + 5] = 1;  // the u64 record count follows the 8-byte magic: 1 becomes 1 + 2^40
+  EXPECT_FALSE(ParseServiceLog(bytes).has_value());
+}
+
 TEST(TraceFileTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/slim_trace_test.bin";
   const auto bytes = SerializeLog(MakeSampleLog());
